@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 
-from . import bounds as bounds_mod
 from .bounds import (
     g_times_k2_bounds,
     knn_report,

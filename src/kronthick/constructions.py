@@ -293,7 +293,7 @@ def relabel_bipartite_part(part: Graph, source, dest) -> Graph:
             return VertexLabel(dfam_b, v.index, dlay_b)
         raise PreconditionError(
             f"vertex {v.name} is in neither source family "
-            f"({fam_a.value}, {fam_b.value})"
+            f"({fam_a.letter}, {fam_b.letter})"
         )
 
     return part.map_vertices(mapv)
@@ -370,24 +370,18 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
 # K_{n,n,n} x K_2, n = 4p+1
 # ============================================================
 
-# The new column/hub edges can be grouped onto the two main part families
-# in two ways that produce the same union; the verifier arbitrates which
-# grouping keeps every part planar.  "paired" keeps each hub star next to
-# its mirror image; "layered" groups by the hub's own layer.
-_HUB_GROUPING = "paired"
-
-
 def _n1_wrap(p: int, j: int) -> int:
     """Old-index arithmetic mod 4p, staying in 1..4p."""
     return (j - 1) % (4 * p) + 1
 
 
-def _n1_part_adjustments(p: int, r: int, grouping: str):
+def _n1_part_adjustments(p: int, r: int):
     """(adds1, dels1, adds2, dels2) for the r-th main parts at n = 4p+1.
 
     adds are hub spokes from the six new vertices plus the four per-block
     matching edges the final part cannot absorb; dels are the two block
-    edges whose removal frees the faces the new spokes pass through.
+    edges whose removal frees the faces the new spokes pass through.  Each
+    hub star sits next to its mirror image, which keeps every part planar.
     """
     nn = 4 * p + 1
     i1, i2, i3, i4 = _block(r)
@@ -398,32 +392,18 @@ def _n1_part_adjustments(p: int, r: int, grouping: str):
     z1 = lambda i: _lab(Family.Z, 1, i)
     z2 = lambda i: _lab(Family.Z, 2, i)
 
-    if grouping == "paired":
-        adds1 = [
-            (x1(nn), y2(i1)), (x1(nn), y2(i4)),
-            (y2(nn), x1(i3)), (y2(nn), x1(_n1_wrap(p, 4 * r + 2))),
-            (y1(nn), z2(i2)), (y1(nn), z2(i3)),
-            (z2(nn), y1(i2)), (z2(nn), y1(i3)),
-            (z1(nn), x2(i1)), (z1(nn), x2(i4)),
-            (x2(nn), z1(i1)), (x2(nn), z1(i4)),
-            (z1(i4), x2(i4)),
-            (y1(i3), z2(i3)),
-            (z1(i2), y2(i2)),
-            (x1(i1), z2(i1)),
-        ]
-    elif grouping == "layered":
-        adds1 = [
-            (x1(nn), y2(i1)), (x1(nn), y2(i4)),
-            (z1(nn), x2(i1)), (z1(nn), x2(i4)),
-            (x1(nn), z2(i1)), (x1(nn), z2(i4)),
-            (x1(i1), z2(i1)), (x1(i4), z2(i4)),
-            (y1(nn), z2(i2)), (y1(nn), z2(i3)),
-            (z2(nn), y1(i2)), (z2(nn), y1(i3)),
-            (y2(nn), x1(i2)), (y2(nn), x1(i3)),
-            (y1(i2), z2(i2)), (y1(i3), z2(i3)),
-        ]
-    else:
-        raise PreconditionError(f"unknown hub grouping {grouping!r}")
+    adds1 = [
+        (x1(nn), y2(i1)), (x1(nn), y2(i4)),
+        (y2(nn), x1(i3)), (y2(nn), x1(_n1_wrap(p, 4 * r + 2))),
+        (y1(nn), z2(i2)), (y1(nn), z2(i3)),
+        (z2(nn), y1(i2)), (z2(nn), y1(i3)),
+        (z1(nn), x2(i1)), (z1(nn), x2(i4)),
+        (x2(nn), z1(i1)), (x2(nn), z1(i4)),
+        (z1(i4), x2(i4)),
+        (y1(i3), z2(i3)),
+        (z1(i2), y2(i2)),
+        (x1(i1), z2(i1)),
+    ]
     dels1 = [(y1(i1), z2(i4)), (z1(i2), x2(i3))]
 
     def swap(v: VertexLabel) -> VertexLabel:
@@ -478,7 +458,7 @@ def _n1_final_part_edges(p: int) -> list[tuple]:
     return es
 
 
-def knnn_times_k2_n1mod4(p: int, grouping: str | None = None) -> Decomposition:
+def knnn_times_k2_n1mod4(p: int) -> Decomposition:
     """Optimal decomposition of K_{4p+1,4p+1,4p+1} x K_2 into 2p+1 parts.
 
     Starts from the n = 4p layout and threads the six new vertices'
@@ -490,8 +470,6 @@ def knnn_times_k2_n1mod4(p: int, grouping: str | None = None) -> Decomposition:
             f"knnn_times_k2_n1mod4 needs p >= 2 (got {p}); "
             "n = 1 and n = 5 are served by fixtures"
         )
-    if grouping is None:
-        grouping = _HUB_GROUPING
     n = 4 * p + 1
     cy = chen_yin_k4p4p(p)
     main = cy.parts[:-1]
@@ -500,7 +478,7 @@ def knnn_times_k2_n1mod4(p: int, grouping: str | None = None) -> Decomposition:
     for r in range(1, p + 1):
         base1 = _three_copies(main[r - 1], _BLOCKS_LAYER1).edge_set
         base2 = _three_copies(main[r - 1], _BLOCKS_LAYER2).edge_set
-        adds1, dels1, adds2, dels2 = _n1_part_adjustments(p, r, grouping)
+        adds1, dels1, adds2, dels2 = _n1_part_adjustments(p, r)
         e1 = (base1 - {edge(a, b) for a, b in dels1}) | {edge(a, b) for a, b in adds1}
         e2 = (base2 - {edge(a, b) for a, b in dels2}) | {edge(a, b) for a, b in adds2}
         parts.append(_graph_from_edges(e1))

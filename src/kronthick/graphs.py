@@ -1,7 +1,10 @@
 """Immutable labeled simple graphs and the generators/operations built on them.
 
-Vertices are symbolic labels: a family letter, a positive index, and an
-optional layer in {1, 2}.  Graphs are values; every operation returns a new
+Vertices are symbolic labels: a family, a positive index, and a layer in
+{1, 2}, or 0 for a layerless label.  A label is a plain tuple
+(family, index, layer) and Family is an IntEnum, so a label is its own sort
+key: x_1 < x1_1 < x2_1 < x_2 < ... < y_1 < ... < p2_n.  Product-vertex pairs
+sort after every label.  Graphs are values; every operation returns a new
 graph and never mutates its inputs, so graph objects can be shared freely.
 """
 
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidSizeError,
@@ -18,73 +21,84 @@ from .errors import (
 )
 
 
-class Family(enum.Enum):
-    """Label families. X/Y/Z are tripartite parts, U/V bipartite parts."""
+class Family(enum.IntEnum):
+    """Label families. X/Y/Z are tripartite parts, U/V bipartite parts.
 
-    X = "x"
-    Y = "y"
-    Z = "z"
-    U = "u"
-    V = "v"
-    PLAIN = "p"
+    The declaration order is the vertex order.
+    """
 
-
-_FAMILY_ORDER = {fam: pos for pos, fam in enumerate(Family)}
-
-
-@dataclass(frozen=True, slots=True)
-class VertexLabel:
-    """A symbolic vertex: family letter, subscript index, optional layer."""
-
-    family: Family
-    index: int
-    layer: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            raise PreconditionError(f"family must be a Family, got {self.family!r}")
-        if self.index < 1:
-            raise PreconditionError(f"vertex index must be >= 1, got {self.index}")
-        if self.layer not in (None, 1, 2):
-            raise PreconditionError(f"layer must be 1, 2 or None, got {self.layer}")
+    X = 0
+    Y = 1
+    Z = 2
+    U = 3
+    V = 4
+    PLAIN = 5
 
     @property
-    def sort_key(self) -> tuple:
-        return (0, _FAMILY_ORDER[self.family], self.index, self.layer or 0)
+    def letter(self) -> str:
+        """The printable letter used in vertex names."""
+        return "xyzuvp"[self]
+
+
+class _LabelFields(NamedTuple):
+    family: Family
+    index: int
+    layer: int  # 1 or 2; 0 for a layerless label
+
+
+class VertexLabel(_LabelFields):
+    """A symbolic vertex: family letter, subscript index, optional layer."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, index: int, layer: int | None = None):
+        if not isinstance(family, Family):
+            raise PreconditionError(f"family must be a Family, got {family!r}")
+        if index < 1:
+            raise PreconditionError(f"vertex index must be >= 1, got {index}")
+        if layer not in (None, 1, 2):
+            raise PreconditionError(f"layer must be 1, 2 or None, got {layer}")
+        return tuple.__new__(cls, (family, index, layer or 0))
+
+    def __getnewargs__(self):
+        return (self.family, self.index, self.layer or None)
 
     @property
     def name(self) -> str:
         """Short printable name, e.g. x1_3 for x^1_3, u_4 for a layerless u_4."""
-        layer = "" if self.layer is None else str(self.layer)
-        return f"{self.family.value}{layer}_{self.index}"
+        return f"{self.family.letter}{self.layer or ''}_{self.index}"
 
     def with_layer(self, layer: int | None) -> VertexLabel:
         return VertexLabel(self.family, self.index, layer)
-
-    def __lt__(self, other: VertexLabel) -> bool:
-        return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:
         return f"V({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
-class ProductVertex:
-    """A vertex of a general Kronecker product: an ordered label pair."""
+# Leads every ProductVertex; above every Family, so pairs sort after labels.
+_PAIR_RANK = len(Family)
 
+
+class _PairFields(NamedTuple):
+    rank: int
     left: VertexLabel
     right: VertexLabel
 
-    @property
-    def sort_key(self) -> tuple:
-        return (1, self.left.sort_key, self.right.sort_key)
+
+class ProductVertex(_PairFields):
+    """A vertex of a general Kronecker product: an ordered label pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, left: VertexLabel, right: VertexLabel):
+        return tuple.__new__(cls, (_PAIR_RANK, left, right))
+
+    def __getnewargs__(self):
+        return (self.left, self.right)
 
     @property
     def name(self) -> str:
         return f"{self.left.name}.{self.right.name}"
-
-    def __lt__(self, other: ProductVertex) -> bool:
-        return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:
         return f"PV({self.name})"
@@ -92,27 +106,14 @@ class ProductVertex:
 
 # Any vertex value usable in a Graph.
 Vertex = VertexLabel | ProductVertex
-Edge = tuple  # canonical unordered pair, endpoints ordered by sort_key
-
-
-@dataclass(frozen=True)
-class PartSpec:
-    """Part sizes of a complete multipartite graph, e.g. (m, n) or (l, m, n)."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.sizes:
-            raise InvalidSizeError("PartSpec needs at least one part")
-        if any(s < 1 for s in self.sizes):
-            raise InvalidSizeError(f"part sizes must be >= 1, got {self.sizes}")
+Edge = tuple  # canonical unordered pair, endpoints in vertex order
 
 
 def edge(a: Vertex, b: Vertex) -> Edge:
     """Canonical unordered edge: endpoints sorted, self-loops rejected."""
     if a == b:
         raise PreconditionError(f"self-loop at {a!r}")
-    return (a, b) if a.sort_key < b.sort_key else (b, a)
+    return (a, b) if a < b else (b, a)
 
 
 class Graph:
@@ -130,8 +131,8 @@ class Graph:
         for a, b in eset:
             if a not in vset or b not in vset:
                 raise PreconditionError(f"edge endpoint not in vertex set: {a!r}-{b!r}")
-        self._vertices: tuple = tuple(sorted(vset, key=lambda v: v.sort_key))
-        self._edges: tuple = tuple(sorted(eset, key=_edge_key))
+        self._vertices: tuple = tuple(sorted(vset))
+        self._edges: tuple = tuple(sorted(eset))
         self._vertex_set = vset
         self._edge_set = eset
         self._adj: dict | None = None
@@ -168,9 +169,7 @@ class Graph:
             for a, b in self._edges:
                 nbrs[a].append(b)
                 nbrs[b].append(a)
-            self._adj = {
-                v: tuple(sorted(ns, key=lambda u: u.sort_key)) for v, ns in nbrs.items()
-            }
+            self._adj = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
         return self._adj
 
     def degree(self, v: Vertex) -> int:
@@ -199,14 +198,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
-
-
-def _edge_key(e: Edge) -> tuple:
-    return (e[0].sort_key, e[1].sort_key)
-
-
-def sort_edges(edges) -> list:
-    return sorted(edges, key=_edge_key)
 
 
 # ============================================================
@@ -273,7 +264,7 @@ def remove_edges(g: Graph, edges) -> Graph:
     doomed = {edge(a, b) for a, b in edges}
     missing = doomed - g.edge_set
     if missing:
-        sample = sort_edges(missing)[0]
+        sample = min(missing)
         raise MissingEdgeError(f"edge not in graph: {sample[0].name}-{sample[1].name}")
     return Graph(g.vertex_set, g.edge_set - doomed)
 

@@ -15,7 +15,6 @@ from .graphs import (
     ProductVertex,
     VertexLabel,
     components,
-    edge,
     identify_complete_bipartite,
     make_complete,
     make_complete_bipartite,
@@ -30,7 +29,7 @@ def _is_plain_k2(h: Graph) -> bool:
         and all(
             isinstance(v, VertexLabel)
             and v.family is Family.PLAIN
-            and v.layer is None
+            and not v.layer
             for v in vs
         )
         and {v.index for v in vs} == {1, 2}
@@ -42,7 +41,7 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     if g.num_vertices == 0 or h.num_vertices == 0:
         raise PreconditionError("kronecker_product needs non-empty vertex sets")
     flatten = _is_plain_k2(h) and all(
-        isinstance(v, VertexLabel) and v.layer is None for v in g.vertices
+        isinstance(v, VertexLabel) and not v.layer for v in g.vertices
     )
     if flatten:
         def mk(a, c):
@@ -50,13 +49,14 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     else:
         def mk(a, c):
             return ProductVertex(a, c)
-    vertices = [mk(a, c) for a in g.vertices for c in h.vertices]
+    # One object per product vertex, shared by all of its edges, saves memory.
+    pv = {(a, c): mk(a, c) for a in g.vertices for c in h.vertices}
     edges = []
     for a, b in g.edges:
         for c, d in h.edges:
-            edges.append(edge(mk(a, c), mk(b, d)))
-            edges.append(edge(mk(a, d), mk(b, c)))
-    return Graph(vertices, edges)
+            edges.append((pv[a, c], pv[b, d]))
+            edges.append((pv[a, d], pv[b, c]))
+    return Graph(pv.values(), edges)
 
 
 def times_k2(g: Graph) -> Graph:

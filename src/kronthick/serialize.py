@@ -38,7 +38,7 @@ def vertex_object(v) -> dict:
     if isinstance(v, ProductVertex):
         return {"left": vertex_object(v.left), "right": vertex_object(v.right)}
     obj: dict = {"family": _FAMILY_NAMES[v.family], "index": v.index}
-    if v.layer is not None:
+    if v.layer:
         obj["layer"] = v.layer
     return obj
 
@@ -58,9 +58,10 @@ def vertex_from_object(obj) -> VertexLabel | ProductVertex:
         family = _FAMILIES_BY_NAME[obj["family"]]
         index = obj["index"]
         layer = obj.get("layer")
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise DocumentFormatError(f"bad vertex object {obj!r}") from exc
-    if not isinstance(index, int) or layer not in (None, 1, 2):
+    # type(...) is int, not isinstance: JSON true/false must not pass as 1/0.
+    if type(index) is not int or (layer is not None and type(layer) is not int):
         raise DocumentFormatError(f"bad vertex object {obj!r}")
     try:
         return VertexLabel(family, index, layer)
@@ -89,6 +90,8 @@ def graph_document(g: Graph) -> dict:
 def _graph_from_object(obj) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise DocumentFormatError("graph object needs 'vertices' and 'edges'")
+    _check_list(obj["vertices"], "vertices")
+    _check_list(obj["edges"], "edges")
     vertices = [vertex_from_object(o) for o in obj["vertices"]]
     by_name: dict = {}
     for v in vertices:
@@ -101,6 +104,8 @@ def _graph_from_object(obj) -> Graph:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentFormatError(f"edge entry must be a [ref, ref] pair: {entry!r}")
         ra, rb = entry
+        if not (isinstance(ra, str) and isinstance(rb, str)):
+            raise DocumentFormatError(f"edge references must be vertex names: {entry!r}")
         if ra not in by_name or rb not in by_name:
             raise DocumentFormatError(f"edge references unknown vertex: {entry!r}")
         try:
@@ -117,6 +122,11 @@ def _graph_from_object(obj) -> Graph:
 def graph_from_document(doc) -> Graph:
     _check_version(doc)
     return _graph_from_object(doc)
+
+
+def _check_list(value, key: str) -> None:
+    if not isinstance(value, list):
+        raise DocumentFormatError(f"'{key}' must be a list, got {type(value).__name__}")
 
 
 def _check_version(doc) -> None:
@@ -154,6 +164,7 @@ def decomposition_from_document(doc) -> Decomposition:
     figure = prov.get("figure")
     if figure is not None and not isinstance(figure, str):
         raise DocumentFormatError("provenance figure must be a string or null")
+    _check_list(doc["parts"], "parts")
     return Decomposition(
         target=_graph_from_object(doc["target"]),
         parts=tuple(_graph_from_object(o) for o in doc["parts"]),
@@ -245,11 +256,6 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DocumentFormatError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def write_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(doc))
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import VerificationFailedError
-from .graphs import Graph, sort_edges
+from .graphs import Graph
 from .planarity import is_planar
 
 OPTIMAL = "OPTIMAL"
@@ -60,12 +60,11 @@ def verify_decomposition(
         for e in part.edges:
             holders.setdefault(e, []).append(i)
     covered = set(holders)
-    missing = sort_edges(target.edge_set - covered)
-    extra = sort_edges(covered - target.edge_set)
-    overlap = [
+    missing = sorted(target.edge_set - covered)
+    extra = sorted(covered - target.edge_set)
+    overlap = sorted(
         (e, tuple(idx)) for e, idx in holders.items() if len(idx) > 1
-    ]
-    overlap.sort(key=lambda item: (item[0][0].sort_key, item[0][1].sort_key))
+    )
     nonplanar = [i for i, part in enumerate(parts) if not is_planar(part).planar]
     passed = not (missing or extra or overlap or nonplanar)
     optimality = OPTIMAL if passed and lower is not None and len(parts) == lower else NOT_CERTIFIED

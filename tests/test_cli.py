@@ -192,6 +192,55 @@ def test_verify_parse_failures(capsys, tmp_path):
     assert run(capsys, "verify", str(bad))[0] == 3
 
 
+def _set(path, value):
+    def mutate(doc):
+        *keys, last = path
+        obj = doc
+        for k in keys:
+            obj = obj[k]
+        obj[last] = value
+    return mutate
+
+
+def _add_vertex(obj):
+    def mutate(doc):
+        doc["parts"][0]["vertices"].append(obj)
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set(["parts"], 5),
+        _set(["parts"], {}),
+        _set(["parts", 0, "vertices"], 7),
+        _set(["parts", 0, "edges"], {}),
+        _set(["target", "edges"], {}),
+        _set(["target", "vertices"], "u_1"),
+        _add_vertex({"family": "U", "index": True}),
+        _add_vertex({"family": "U", "index": 9, "layer": True}),
+        _set(["parts", 0, "vertices", 0, "family"], ["U"]),
+        _set(["parts", 0, "edges", 0], [["u_1"], "v_2"]),
+    ],
+    ids=[
+        "parts-int", "parts-object", "vertices-int", "edges-object",
+        "target-edges-object", "target-vertices-string", "index-bool",
+        "layer-bool", "family-list", "edge-ref-list",
+    ],
+)
+def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):
+    doc = json.loads(run(capsys, "decompose", "knn", "1")[1])
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 # ============================================================
 # bounds
 # ============================================================

@@ -232,21 +232,6 @@ def test_n1mod4_rejects_p1():
         knnn_times_k2_n1mod4(1)
 
 
-def test_hub_grouping_variants_cover_the_same_graph():
-    # both groupings of the hub edges tile the full target; only the
-    # paired grouping keeps every part planar, which is why it ships
-    paired = knnn_times_k2_n1mod4(2, grouping="paired")
-    layered = knnn_times_k2_n1mod4(2, grouping="layered")
-    union = lambda d: frozenset().union(*(g.edge_set for g in d.parts))
-    assert union(paired) == union(layered)
-    assert verify_decomposition(paired.target, paired.parts).passed
-    layered_report = verify_decomposition(layered.target, layered.parts)
-    assert not layered_report.passed
-    assert layered_report.nonplanar_parts != ()
-    assert layered_report.coverage_missing == ()
-    assert layered_report.overlap == ()
-
-
 # ============================================================
 # Fixtures (drawn decompositions for n = 1, 3, 5)
 # ============================================================

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from kronthick.errors import PreconditionError
 from kronthick.graphs import (
     Family,
     Graph,
+    ProductVertex,
     VertexLabel,
     bipartition,
     components,
@@ -22,7 +26,6 @@ from kronthick.graphs import (
     make_cycle,
     make_path,
     remove_edges,
-    sort_edges,
 )
 from kronthick.planarity import is_planar
 from kronthick.products import kronecker_product, times_k2
@@ -98,6 +101,70 @@ def test_graph_rejects_dangling_edges():
         Graph([a], [(a, b)])
 
 
+# Vertex and edge order of the graph built in test_vertex_order_contract,
+# recorded from the release whose labels sorted through an explicit key.
+_CONTRACT_VERTICES = (
+    "x_1 x1_1 x2_1 x_10 x1_10 x2_10 y_1 y1_1 y2_1 y_10 y1_10 y2_10 "
+    "z_1 z1_1 z2_1 z_10 z1_10 z2_10 u_1 u1_1 u2_1 u_10 u1_10 u2_10 "
+    "v_1 v1_1 v2_1 v_10 v1_10 v2_10 p_1 p1_1 p2_1 p_10 p1_10 p2_10 "
+    "x1_2.p_1 u_1.u2_1 u_1.v_2 p_2.x_1"
+).split()
+_CONTRACT_EDGES = (
+    "x_1-u_10 x_1-v2_1 x1_1-u_10 x1_1-v2_1 x2_1-z2_10 x2_1-v1_10 x_10-y1_1 "
+    "x_10-p1_10 x1_10-p_2.x_1 x2_10-z2_10 x2_10-v1_10 y_1-y1_10 y_1-v_10 "
+    "y1_1-z_10 y2_1-y2_10 y2_1-x1_2.p_1 y_10-y1_10 y_10-v_10 y2_10-v_1 "
+    "z_1-v1_1 z_1-p2_10 z1_1-z2_1 z1_1-z1_10 z2_1-p_1 z_10-p1_10 z1_10-p_1 "
+    "u_1-u2_10 u1_1-v2_10 u1_1-p_10 u2_1-v1_1 u2_1-p2_10 u1_10-u_1.u2_1 "
+    "v_1-x1_2.p_1 v2_10-p2_1 p1_1-u_1.v_2 p2_1-p_10"
+).split()
+
+
+def test_vertex_order_contract():
+    # family in declaration order, then index, then layer (none < 1 < 2);
+    # product-vertex pairs after every label, ordered by left then right
+    U, V, X, P = Family.U, Family.V, Family.X, Family.PLAIN
+    labels = [VertexLabel(f, i, l) for f in Family for i in (1, 10) for l in (None, 1, 2)]
+    pairs = [
+        ProductVertex(VertexLabel(U, 1), VertexLabel(V, 2)),
+        ProductVertex(VertexLabel(U, 1), VertexLabel(U, 1, 2)),
+        ProductVertex(VertexLabel(X, 2, 1), VertexLabel(P, 1)),
+        ProductVertex(VertexLabel(P, 2), VertexLabel(X, 1)),
+    ]
+    order = labels + pairs
+    random.Random(2019).shuffle(order)
+    edges = [(order[i], order[(i * 7 + 3) % len(order)]) for i in range(len(order))]
+    g = Graph(order, edges)
+    assert [v.name for v in g.vertices] == _CONTRACT_VERTICES
+    assert [f"{a.name}-{b.name}" for a, b in g.edges] == _CONTRACT_EDGES
+    flipped = Graph(reversed(order), [(b, a) for a, b in reversed(edges)])
+    assert (flipped.vertices, flipped.edges) == (g.vertices, g.edges)
+    for v, nbrs in g.adjacency.items():
+        assert list(nbrs) == sorted(nbrs)
+
+
+def test_layerless_label_differs_from_layered():
+    assert VertexLabel(Family.U, 1) != VertexLabel(Family.U, 1, 1)
+    assert VertexLabel(Family.U, 1).layer == 0
+    assert VertexLabel(Family.U, 1) == VertexLabel(Family.U, 1, None)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("u", 1), (3, 1), (Family.U, 0), (Family.U, -2), (Family.U, 1, 0),
+     (Family.U, 1, 3), (Family.U, 1, -1)],
+)
+def test_label_constructor_rejects_bad_fields(args):
+    with pytest.raises(PreconditionError):
+        VertexLabel(*args)
+
+
+def test_labels_survive_pickling():
+    a = VertexLabel(Family.X, 3, 2)
+    b = VertexLabel(Family.U, 4)
+    pv = ProductVertex(a, b)
+    assert pickle.loads(pickle.dumps((a, b, pv))) == (a, b, pv)
+
+
 def test_graph_equality_is_by_content():
     g1 = make_complete(4)
     g2 = Graph(g1.vertices, [tuple(e) for e in reversed(g1.edges)])
@@ -110,7 +177,7 @@ def test_vertex_and_edge_order_deterministic():
     again = Graph(list(reversed(g.vertices)), list(reversed(g.edges)))
     assert g.vertices == again.vertices
     assert g.edges == again.edges
-    assert g.edges == tuple(sort_edges(g.edges))
+    assert g.edges == tuple(sorted(g.edges))
 
 
 # ============================================================
@@ -239,7 +306,7 @@ def test_components_partition_vertices(g: Graph):
     seen: list = []
     for c in comps:
         seen.extend(c.vertices)
-    assert sorted(seen, key=lambda v: v.sort_key) == list(g.vertices)
+    assert sorted(seen) == list(g.vertices)
     assert sum(c.num_edges for c in comps) == g.num_edges
 
 

@@ -5,6 +5,7 @@ import pytest
 from kronthick.bounds import theta_kn_times_k2, theta_knn
 from kronthick.errors import PreconditionError
 from kronthick.graphs import (
+    Family,
     edge,
     make_complete,
     make_complete_bipartite,
@@ -52,8 +53,8 @@ def test_planar_graph_one_part():
 
 def test_forced_single_edge_part():
     g = make_complete_bipartite(3, 3)
-    u = [v for v in g.vertices if v.family.value == "u"]
-    w = [v for v in g.vertices if v.family.value == "v"]
+    u = [v for v in g.vertices if v.family is Family.U]
+    w = [v for v in g.vertices if v.family is Family.V]
     pin = edge(u[0], w[0])
     result = find_planar_partition(g, 3, BUDGET, force_single_edge=pin)
     assert result.found is not None

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kronthick
 
 from kronthick.constructions import chen_yin_k4p4p, kn_times_k2_decomposition
 from kronthick.errors import DocumentFormatError, SeedInvalidError
@@ -195,3 +201,34 @@ def test_dot_output():
 def test_dot_deterministic():
     g = make_cycle(9)
     assert graph_to_dot(g) == graph_to_dot(g)
+
+
+# ============================================================
+# Byte identity of the bundled data
+# ============================================================
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DATA_FILES = sorted(
+    str(p) for p in importlib.resources.files("kronthick").joinpath("data").iterdir()
+    if p.name.endswith(".json")
+)
+
+
+def test_make_fixtures_check_passes():
+    # the fixture script rebuilds the bundled n = 1, 3, 5 files and
+    # compares them byte for byte with what ships
+    src = Path(kronthick.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "make_fixtures.py"), "--check"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("path", DATA_FILES, ids=lambda p: Path(p).name)
+def test_bundled_documents_reemit_byte_for_byte(path):
+    text = Path(path).read_text(encoding="utf-8")
+    doc = decomposition_from_document(json.loads(text))
+    assert to_json(decomposition_document(doc)) == text

@@ -9,6 +9,7 @@ from kronthick.constructions import (
 )
 from kronthick.errors import VerificationFailedError
 from kronthick.graphs import (
+    Family,
     Graph,
     edge,
     graph_union,
@@ -85,7 +86,7 @@ def test_duplicated_edge_reported_overlapping():
 
 def test_foreign_edge_reported_extra():
     target, parts = k88_parts()
-    u = [v for v in target.vertices if v.family.value == "u"]
+    u = [v for v in target.vertices if v.family is Family.U]
     foreign = edge(u[0], u[1])  # same-side edge, not in K_{8,8}
     parts[0] = graph_union(parts[0], Graph([u[0], u[1]], [foreign]))
     report = verify_decomposition(target, parts)
