@@ -1,11 +1,13 @@
 """Exhaustive exact-thickness search for small graphs.
 
-Edges are assigned to parts in a fixed order, depth-first, with three prunes:
-each part must stay planar (full re-test on every assignment), each part must
-stay under the Euler edge capacity, and part indices appear in first-use order
-so permuting part names never revisits the same split.  Budgets cap both
-search nodes and wall time; running out of budget is reported distinctly from
-a proven "no partition exists".
+Edges are assigned to parts in a fixed order, depth-first, by a loop over a
+stack of part choices (no recursion, so long edge lists are fine), with three
+prunes: each part must stay planar (full re-test on every assignment), each
+part must stay under the Euler edge capacity, and part indices appear in
+first-use order so permuting part names never revisits the same split.  The
+counting prune (k parts hold at most k * capacity edges) runs once.  Budgets
+cap both search nodes and wall time; running out of budget is reported
+distinctly from a proven "no partition exists".
 """
 
 from __future__ import annotations
@@ -53,47 +55,51 @@ class OracleResult:
 
 
 def _search_partition(n, int_edges, k, cap, deadline, node_limit):
-    """Core DFS over edge-to-part assignments on integer vertex ids.
+    """Depth-first search over edge-to-part assignments on integer vertex ids.
 
-    Returns (parts or None, exhausted, nodes).  parts is a list of edge lists.
+    A loop over the stack of part choices, one per placed edge.  Returns
+    (parts or None, exhausted, nodes).  parts is a list of edge lists.
     """
     m = len(int_edges)
+    # Counting prune: at node i the free capacity k*cap - i must hold the
+    # m - i edges left, which is the same test at every node.
+    if m and k * cap < m:
+        return None, True, 1
     parts: list[list[tuple[int, int]]] = []
-    state = {"nodes": 0, "aborted": False}
-
-    def dfs(i: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > node_limit or (
-            state["nodes"] & 127 == 0 and time.monotonic() > deadline
-        ):
-            state["aborted"] = True
-            return False
-        if i == m:
-            return True
-        slack = sum(cap - len(pe) for pe in parts) + (k - len(parts)) * cap
-        if slack < m - i:
-            return False
+    placed: list[int] = []  # placed[i] = index of the part holding edge i
+    nodes = 0
+    p = None  # next part to try for edge len(placed); None at a new node
+    while True:
+        i = len(placed)
+        if p is None:
+            nodes += 1
+            if nodes > node_limit or (nodes & 127 == 0 and time.monotonic() > deadline):
+                return None, False, nodes
+            if i == m:
+                return parts, False, nodes
+            p = 0
         e = int_edges[i]
-        for pe in parts:
-            if len(pe) >= cap:
+        while p < len(parts):
+            pe = parts[p]
+            if len(pe) < cap:
+                pe.append(e)
+                if is_planar_edge_list(n, pe):
+                    break
+                pe.pop()
+            p += 1
+        else:
+            if p > len(parts) or p == k:  # no choice left: take back edge i-1
+                if not placed:
+                    return None, True, nodes
+                p = placed.pop()
+                parts[p].pop()
+                if not parts[p]:
+                    parts.pop()  # edge i-1 had opened this part
+                p += 1
                 continue
-            pe.append(e)
-            if is_planar_edge_list(n, pe) and dfs(i + 1):
-                return True
-            pe.pop()
-            if state["aborted"]:
-                return False
-        if len(parts) < k:
             parts.append([e])
-            if dfs(i + 1):
-                return True
-            parts.pop()
-        return False
-
-    ok = dfs(0)
-    if ok:
-        return parts, False, state["nodes"]
-    return None, not state["aborted"], state["nodes"]
+        placed.append(p)
+        p = None
 
 
 def find_planar_partition(

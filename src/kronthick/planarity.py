@@ -7,10 +7,12 @@ inputs, and a final pass resolves the side of every edge into a rotation
 system (clockwise neighbor order per vertex).  All three passes are iterative,
 so deep graphs cannot overflow the interpreter stack.
 
-Every planar verdict is checked before it is returned: the faces of the
-produced rotation system are traced and counted, and the Euler relation
-faces - edges + vertices = 1 + components must hold.  A violation would mean
-an implementation bug and raises instead of returning a wrong certificate.
+Every planar verdict is checked on the core's integer ids before it is mapped
+back to labels: each vertex's rotation must list exactly its input neighbors,
+once each, which ties the certificate to the input edge set, and the faces
+traced over integer darts must satisfy the Euler relation faces - edges +
+vertices = components + components with an edge.  A violation would mean an
+implementation bug and raises instead of returning a wrong certificate.
 """
 
 from __future__ import annotations
@@ -37,71 +39,6 @@ class Embedding:
     """Combinatorial embedding: clockwise neighbor order around each vertex."""
 
     rotation: dict
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.rotation)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(ns) for ns in self.rotation.values()) // 2
-
-    def face_count(self) -> int:
-        """Number of plane faces, counting the unbounded face once."""
-        orbits = 0
-        edge_components = 0
-        seen_half: set = set()
-        seen_vertex: set = set()
-        succ: dict = {}
-        for v, ns in self.rotation.items():
-            pos = {w: i for i, w in enumerate(ns)}
-            succ[v] = (ns, pos)
-        for v, ns in self.rotation.items():
-            if ns and v not in seen_vertex:
-                # new component holding at least one edge
-                edge_components += 1
-                stack = [v]
-                seen_vertex.add(v)
-                while stack:
-                    u = stack.pop()
-                    for w in self.rotation[u]:
-                        if w not in seen_vertex:
-                            seen_vertex.add(w)
-                            stack.append(w)
-            for w in ns:
-                if (v, w) in seen_half:
-                    continue
-                # trace the face on one side of v->w
-                a, b = v, w
-                while (a, b) not in seen_half:
-                    seen_half.add((a, b))
-                    ns_b, pos_b = succ[b]
-                    a, b = b, ns_b[(pos_b[a] + 1) % len(ns_b)]
-                orbits += 1
-        if edge_components == 0:
-            return 1
-        return orbits - edge_components + 1
-
-    def check_euler(self) -> bool:
-        comps = self._component_count()
-        return self.face_count() - self.num_edges + self.num_vertices == 1 + comps
-
-    def _component_count(self) -> int:
-        seen: set = set()
-        count = 0
-        for v in self.rotation:
-            if v in seen:
-                continue
-            count += 1
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for w in self.rotation[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return count
 
 
 @dataclass(frozen=True)
@@ -143,6 +80,8 @@ def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
     Returns (True, rotation) when planar (rotation is None unless
     want_embedding), else (False, None).
     """
+    if n >= 3 and sum(map(len, adj)) > 2 * (3 * n - 6):  # Euler edge prefilter
+        return False, None
     height: list = [None] * n
     parent_edge: list = [None] * n
     lowpt: dict = {}
@@ -392,6 +331,57 @@ def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
     return True, order
 
 
+def _is_plane_rotation(adj: list[list[int]], order) -> bool:
+    """Check a rotation system against the simple graph it claims to embed.
+
+    Each vertex must list exactly its neighbors in adj, once each; then the
+    face orbits, traced over integer darts, must satisfy Euler's relation
+    faces - edges + vertices = components + components with an edge.
+    Components are counted here from adj, not taken from the LR core.
+    """
+    n = len(adj)
+    if len(order) != n:
+        return False
+    pos: list[dict] = []
+    for v in range(n):
+        at = {w: i for i, w in enumerate(order[v])}
+        if len(at) != len(order[v]) or at.keys() != set(adj[v]):
+            return False
+        pos.append(at)
+
+    # dart v->order[v][i] is followed around its face by the dart leaving
+    # order[v][i] just after v in its rotation
+    faces = 0
+    seen = [bytearray(len(at)) for at in pos]
+    for v in range(n):
+        for i in range(len(pos[v])):
+            if seen[v][i]:
+                continue
+            faces += 1
+            a, j = v, i
+            while not seen[a][j]:
+                seen[a][j] = 1
+                b = order[a][j]
+                j = pos[b][a] + 1
+                if j == len(order[b]):
+                    j = 0
+                a = b
+
+    components = 0  # counting those with an edge twice
+    reached = bytearray(n)
+    for s in range(n):
+        if not reached[s]:
+            components += 1 + bool(adj[s])
+            reached[s] = 1
+            stack = [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if not reached[w]:
+                        reached[w] = 1
+                        stack.append(w)
+    return faces - sum(map(len, adj)) // 2 + n == components
+
+
 # ============================================================
 # Public entry point
 # ============================================================
@@ -399,22 +389,18 @@ def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Exact planarity decision; planar verdicts carry a checked embedding."""
-    n = g.num_vertices
-    if n >= 3 and g.num_edges > 3 * n - 6:
-        return PlanarityVerdict(planar=False)
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
     adj = [[index[w] for w in g.adjacency[v]] for v in verts]
-    ok, order = _lr_core(n, adj, want_embedding=True)
+    ok, order = _lr_core(len(verts), adj, want_embedding=True)
     if not ok:
         return PlanarityVerdict(planar=False)
-    rotation = {verts[i]: tuple(verts[j] for j in order[i]) for i in range(n)}
-    emb = Embedding(rotation)
-    if not emb.check_euler():
+    if not _is_plane_rotation(adj, order):
         raise StructuralViolationError(
-            "embedding failed the Euler face check; planarity core is buggy"
+            "embedding failed the edge-set or Euler face check; planarity core is buggy"
         )
-    return PlanarityVerdict(planar=True, certificate=emb)
+    rotation = {v: tuple(verts[j] for j in ns) for v, ns in zip(verts, order)}
+    return PlanarityVerdict(planar=True, certificate=Embedding(rotation))
 
 
 def is_planar_edge_list(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -422,8 +408,6 @@ def is_planar_edge_list(n: int, edges: list[tuple[int, int]]) -> bool:
 
     Meant for inner search loops; vertices are 0..n-1, isolated ones allowed.
     """
-    if n >= 3 and len(edges) > 3 * n - 6:
-        return False
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)

@@ -75,9 +75,10 @@ def vertex_from_object(obj) -> VertexLabel | ProductVertex:
 
 
 def _graph_object(g: Graph) -> dict:
+    name = {v: v.name for v in g.vertices}
     return {
         "vertices": [vertex_object(v) for v in g.vertices],
-        "edges": [[a.name, b.name] for a, b in g.edges],
+        "edges": [[name[a], name[b]] for a, b in g.edges],
     }
 
 

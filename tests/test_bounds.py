@@ -29,12 +29,14 @@ from kronthick.graphs import (
     Graph,
     Family,
     VertexLabel,
+    is_triangle_free,
     make_complete,
     make_complete_bipartite,
     make_complete_tripartite,
     make_cycle,
     make_path,
 )
+from kronthick.products import kronecker_product
 
 # ============================================================
 # Closed-form values
@@ -210,3 +212,20 @@ def test_sandwich_on_complete_pairs(m, n):
 @given(st.integers(min_value=1, max_value=10))
 def test_knn_monotone(n):
     assert theta_knn(n) <= theta_knn(n + 1)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    verts = [VertexLabel(Family.PLAIN, i) for i in range(1, n + 1)]
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph(verts, picked)
+
+
+@given(small_graphs(), small_graphs())
+def test_product_triangle_free_iff_a_factor_is(g, h):
+    # product_lower_bound picks its Euler capacity from the factors alone
+    assert (is_triangle_free(g) or is_triangle_free(h)) == is_triangle_free(
+        kronecker_product(g, h)
+    )

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
 from kronthick.bounds import theta_kn_times_k2, theta_knn
 from kronthick.errors import PreconditionError
 from kronthick.graphs import (
     Family,
+    Graph,
+    VertexLabel,
     edge,
+    graph_union,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -78,9 +84,49 @@ def test_tiny_budget_times_out_without_lying():
         assert not result.exhausted  # 3 nodes cannot exhaust this space
 
 
+def _k33_plus_two_isolated():
+    k33 = make_complete_bipartite(3, 3)
+    extra = [VertexLabel(Family.PLAIN, 1), VertexLabel(Family.PLAIN, 2)]
+    return Graph(list(k33.vertices) + extra, k33.edges)
+
+
+# (graph, k) -> (found, exhausted, nodes); pins the visiting order and the
+# node count, which budgets and TIMEOUT outcomes depend on
+PINNED = [
+    pytest.param(lambda: times_k2(make_complete(7)), 2, True, False, 49, id="K7xK2-2"),
+    pytest.param(lambda: make_complete_bipartite(6, 6), 2, True, False, 67, id="K66-2"),
+    pytest.param(lambda: make_complete(9), 2, False, False, 501, id="K9-2"),
+    pytest.param(_k33_plus_two_isolated, 1, False, True, 9, id="K33+2-1"),
+    pytest.param(lambda: make_complete(5), 1, False, True, 1, id="K5-1"),
+    pytest.param(lambda: make_complete(5), 2, True, False, 11, id="K5-2"),
+]
+
+
+@pytest.mark.parametrize("make, k, found, exhausted, nodes", PINNED)
+def test_pinned_node_counts(make, k, found, exhausted, nodes):
+    result = find_planar_partition(make(), k, SearchBudget(max_nodes=500, wall_limit=600))
+    assert (result.found is not None, result.exhausted, result.nodes) == (
+        found,
+        exhausted,
+        nodes,
+    )
+
+
 # ============================================================
 # Exact thickness
 # ============================================================
+
+
+def test_long_edge_list_needs_no_recursion():
+    # 309 edges; the search depth is the edge count
+    g = graph_union(make_cycle(300), make_complete_bipartite(3, 3))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        r = exact_thickness(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.status == EXACT and r.value == 2
 
 
 def test_exact_c6():

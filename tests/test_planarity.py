@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,18 @@ from kronthick.graphs import (
     remove_edges,
     is_triangle_free,
 )
-from kronthick.planarity import euler_max_edges, is_planar, is_planar_edge_list
+from kronthick import planarity
+from kronthick.constructions import (
+    kn_times_k2_decomposition,
+    knnn_times_k2_decomposition,
+)
+from kronthick.errors import StructuralViolationError
+from kronthick.planarity import (
+    _is_plane_rotation,
+    euler_max_edges,
+    is_planar,
+    is_planar_edge_list,
+)
 
 # ============================================================
 # Euler capacity
@@ -93,6 +106,70 @@ def test_nonplanar_verdict_has_no_embedding():
     verdict = is_planar(make_complete(5))
     assert not verdict.planar
     assert verdict.certificate is None
+
+
+K4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+
+def _int_view(g: Graph, rotation: dict):
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [[index[w] for w in g.adjacency[v]] for v in g.vertices]
+    return adj, [[index[w] for w in rotation[v]] for v in g.vertices]
+
+
+def test_checker_rejects_rotation_missing_input_edges():
+    # keeps only the edge 01; the rotation agrees with itself but not with K4
+    assert not _is_plane_rotation(K4, [[1], [0], [], []])
+
+
+def test_checker_rejects_asymmetric_rotation():
+    assert not _is_plane_rotation([[1], [0]], {0: [1], 1: []})
+
+
+def test_checker_rejects_rotation_failing_euler():
+    # increasing neighbor order is a rotation of K4 on the torus, not the plane
+    assert not _is_plane_rotation(K4, K4)
+
+
+def test_checker_accepts_construction_certificates():
+    for part in kn_times_k2_decomposition(16).parts:
+        verdict = is_planar(part)
+        assert verdict.planar
+        assert _is_plane_rotation(*_int_view(part, verdict.certificate.rotation))
+
+
+def test_wrong_core_rotation_raises(monkeypatch):
+    def one_edge_core(n, adj, want_embedding):
+        return True, [[1], [0]] + [[] for _ in range(n - 2)]
+
+    monkeypatch.setattr(planarity, "_lr_core", one_edge_core)
+    with pytest.raises(StructuralViolationError):
+        is_planar(make_complete(4))
+
+
+def _plus_next_edge_cases():
+    for d in (kn_times_k2_decomposition(64), knnn_times_k2_decomposition(9)):
+        parts = d.parts
+        for i, part in enumerate(parts):
+            yield part
+            a, b = parts[(i + 1) % len(parts)].edges[0]
+            yield Graph(part.vertex_set | {a, b}, part.edges + ((a, b),))
+
+
+def test_matches_networkx_on_construction_parts():
+    # real part sizes: 252 edges (K_64 x K_2), 94-98 edges (K_{9,9,9} x K_2),
+    # each also with one edge of the next part added
+    nx = pytest.importorskip("networkx")
+    for g in _plus_next_edge_cases():
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        verdict = is_planar(g)
+        assert verdict.planar == nx.check_planarity(h)[0]
+        if verdict.planar:
+            rotation = verdict.certificate.rotation
+            darts = Counter(frozenset((v, w)) for v, ns in rotation.items() for w in ns)
+            assert darts == dict.fromkeys(map(frozenset, g.edges), 2)
 
 
 def test_edge_list_matches_label_interface():
