@@ -6,8 +6,11 @@ re-derives coverage, disjointness and per-part planarity from scratch, and
 the test suite certifies optimality against the bounds module.
 
 Vertex naming convention: a vertex x^1_i (family x, layer 1, index i) is
-VertexLabel(Family.X, i, 1).  Bipartite intermediates use the layerless
-U/V families; products over K_2 use layers 1 and 2.
+VertexLabel(Family.X, i, 1).  Each part is built once, as one Graph, from
+index pairs (a, b), each the edge v_a u_b of a bipartite part, placed on
+(family, layer) blocks: K_{4p,4p} keeps the layerless v/u families,
+K_n x K_2 puts v on layer 1 and u on layer 2, and K_{n,n,n} x K_2 copies a
+part three times around the x -> y -> z family cycle.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .graphs import (
     Graph,
     VertexLabel,
     edge,
-    graph_union,
     induced_subgraph,
     make_complete,
     make_complete_bipartite,
@@ -55,7 +57,6 @@ __all__ = [
     "MinimalBipartiteDecomposition",
     "chen_yin_k4p4p",
     "kn_times_k2_decomposition",
-    "relabel_bipartite_part",
     "knnn_times_k2_n0mod4",
     "knnn_times_k2_n1mod4",
     "knnn_times_k2_fixture",
@@ -118,34 +119,68 @@ class MinimalBipartiteDecomposition:
 
 
 # ============================================================
-# Label and edge helpers
+# Placing index pairs on label blocks
 # ============================================================
 
+# Every part is a list of index pairs (a, b), each the edge v_a u_b of a
+# bipartite part, placed on one or more blocks.  A block
+# ((family, layer), (family, layer)) takes v_a to its first class and u_b
+# to its second.
+_UV = (((Family.V, None), (Family.U, None)),)
+_CROWN = (((Family.PLAIN, 1), (Family.PLAIN, 2)),)
+# The two three-block layouts of the tripartite constructions: vertex-
+# disjoint copies around the x -> y -> z family cycle, so planarity of the
+# bipartite part is inherited.  On all six blocks the pair (i, i) is the
+# 6-cycle x1_i y2_i z1_i x2_i y1_i z2_i.
+_BLOCKS_LAYER1 = (
+    ((Family.X, 1), (Family.Y, 2)),
+    ((Family.Y, 1), (Family.Z, 2)),
+    ((Family.Z, 1), (Family.X, 2)),
+)
+_BLOCKS_LAYER2 = (
+    ((Family.X, 2), (Family.Y, 1)),
+    ((Family.Y, 2), (Family.Z, 1)),
+    ((Family.Z, 2), (Family.X, 1)),
+)
+_SIX_BLOCKS = _BLOCKS_LAYER1 + _BLOCKS_LAYER2
 
-def _u(i: int) -> VertexLabel:
-    return VertexLabel(Family.U, i)
+# _x1(i) is x^1_i, and so on for the six (family, layer) classes.
+_x1, _y1, _z1, _x2, _y2, _z2 = (
+    (lambda i, f=f, k=k: VertexLabel(f, i, k))
+    for k in (1, 2)
+    for f in (Family.X, Family.Y, Family.Z)
+)
 
 
-def _v(i: int) -> VertexLabel:
-    return VertexLabel(Family.V, i)
+def _place(pairs: list, blocks, adds=(), dels=(), vs=(), us=()) -> Graph:
+    """Build one part: the index pairs on every block, edited by label edges.
 
-
-def _lab(family: Family, layer: int, i: int) -> VertexLabel:
-    return VertexLabel(family, i, layer)
-
-
-def _graph_from_edges(pairs) -> Graph:
-    """Graph on exactly the endpoints of the given edges."""
-    es = [edge(a, b) for a, b in pairs]
-    vs = set()
-    for a, b in es:
-        vs.add(a)
-        vs.add(b)
-    return Graph(vs, es)
+    The v indices vs and u indices us are placed even if no pair uses
+    them.  Each label is made once per block and shared by its edges.  The
+    label edges dels are removed and then adds are added, endpoints
+    included, before the single Graph is built.
+    """
+    vs = {a for a, _ in pairs}.union(vs)
+    us = {b for _, b in pairs}.union(us)
+    verts: list = []
+    edges: list = []
+    for (fv, lv), (fu, lu) in blocks:
+        vl = {a: VertexLabel(fv, a, lv) for a in vs}
+        ul = {b: VertexLabel(fu, b, lu) for b in us}
+        verts += vl.values()
+        verts += ul.values()
+        edges += [(vl[a], ul[b]) for a, b in pairs]
+    if dels:
+        doomed = {edge(a, b) for a, b in dels}
+        edges = [e for e in edges if edge(*e) not in doomed]
+    for a, b in adds:
+        verts += (a, b)
+        edges.append((a, b))
+    return Graph(verts, edges)
 
 
 def _block(r: int) -> tuple[int, int, int, int]:
-    """The four indices forming block r: 4r-3 .. 4r."""
+    """The four indices of the Chen-Yin index block r: 4r-3 .. 4r."""
     return (4 * r - 3, 4 * r - 2, 4 * r - 1, 4 * r)
 
 
@@ -154,8 +189,8 @@ def _block(r: int) -> tuple[int, int, int, int]:
 # ============================================================
 
 
-def _chen_yin_part_edges(p: int, r: int) -> list[tuple]:
-    """Edges of the r-th main part G_r of the K_{4p,4p} decomposition.
+def _chen_yin_part_edges(p: int, r: int) -> list[tuple[int, int]]:
+    """Index pairs (a, b), each the edge v_a u_b, of the r-th main part G_r.
 
     Within block r it is the complete bipartite K_{4,4} minus the matching;
     across blocks each side contributes two spokes per foreign block,
@@ -163,27 +198,27 @@ def _chen_yin_part_edges(p: int, r: int) -> list[tuple]:
     edge exactly once.
     """
     a1, a2, a3, a4 = _block(r)
-    es: list[tuple] = []
+    es: list[tuple[int, int]] = []
     for a in _block(r):
         for b in _block(r):
             if a != b:
-                es.append((_v(a), _u(b)))
+                es.append((a, b))
     for i in range(1, p + 1):
         if i == r:
             continue
         b1, b2, b3, b4 = _block(i)
         for a in (a1, a3):
             for b in (b1, b2):
-                es.append((_v(a), _u(b)))
+                es.append((a, b))
         for a in (a2, a4):
             for b in (b3, b4):
-                es.append((_v(a), _u(b)))
+                es.append((a, b))
         for a in (a3, a4):
             for b in (b1, b3):
-                es.append((_v(b), _u(a)))
+                es.append((b, a))
         for a in (a1, a2):
             for b in (b2, b4):
-                es.append((_v(b), _u(a)))
+                es.append((b, a))
     return es
 
 
@@ -198,9 +233,8 @@ def chen_yin_k4p4p(p: int) -> Decomposition:
         raise InvalidSizeError(f"chen_yin_k4p4p needs p >= 1, got {p}")
     n = 4 * p
     target = make_complete_bipartite(n, n)
-    parts = [_graph_from_edges(_chen_yin_part_edges(p, r)) for r in range(1, p + 1)]
-    matching = _graph_from_edges((_u(i), _v(i)) for i in range(1, n + 1))
-    parts.append(matching)
+    parts = [_place(_chen_yin_part_edges(p, r), _UV) for r in range(1, p + 1)]
+    parts.append(_place([(i, i) for i in range(1, n + 1)], _UV))
     return Decomposition(
         target=target,
         parts=tuple(parts),
@@ -214,8 +248,8 @@ def chen_yin_k4p4p(p: int) -> Decomposition:
 # ============================================================
 
 
-def _g_prime_edges(p: int) -> list[tuple]:
-    """Extension part for n = 4p+2: two double stars plus two cross edges.
+def _g_prime_edges(p: int) -> list[tuple[int, int]]:
+    """Extension part for n = 4p+2, as (layer-1, layer-2) index pairs.
 
     The two new vertices of each layer send stars to all old vertices of
     the other layer, and the four new vertices are tied up by the two
@@ -223,27 +257,21 @@ def _g_prime_edges(p: int) -> list[tuple]:
     2K_2 when p = 0.
     """
     n1, n2 = 4 * p + 1, 4 * p + 2
-    x1 = lambda i: _lab(Family.PLAIN, 1, i)
-    x2 = lambda i: _lab(Family.PLAIN, 2, i)
-    es: list[tuple] = []
+    es: list[tuple[int, int]] = []
     for i in range(1, 4 * p + 1):
-        es.append((x1(n1), x2(i)))
-        es.append((x1(n2), x2(i)))
-        es.append((x2(n1), x1(i)))
-        es.append((x2(n2), x1(i)))
-    es.append((x1(n1), x2(n2)))
-    es.append((x1(n2), x2(n1)))
+        es += [(n1, i), (n2, i), (i, n1), (i, n2)]
+    es += [(n1, n2), (n2, n1)]
     return es
 
 
 def kn_times_k2_decomposition(n: int) -> Decomposition:
     """Optimal planar decomposition of K_n x K_2 into ceil(n/4) parts.
 
-    Even n: the block parts of the K_{4p,4p} decomposition (the matching
-    part is exactly the edge set missing from the crown graph, so it is
-    dropped), plus one extension part when n = 4p+2.  Odd n: build n+1
-    and restrict to the first n indices; the part count is unchanged
-    because ceil(n/4) = ceil((n+1)/4) for odd n.
+    Even n: the block parts of the K_{4p,4p} decomposition with v on layer
+    1 and u on layer 2 (the matching part is exactly the edge set missing
+    from the crown graph, so it is dropped), plus one extension part when
+    n = 4p+2.  Odd n: build n+1 and restrict to the first n indices; the
+    part count is unchanged because ceil(n/4) = ceil((n+1)/4) for odd n.
     """
     if n < 2:
         raise InvalidSizeError(f"kn_times_k2_decomposition needs n >= 2, got {n}")
@@ -252,16 +280,9 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
         d = restrict_decomposition(bigger, lambda v: v.index <= n)
         return replace(d, provenance=THM_3_3)
     p, rem = divmod(n, 4)
-    dest = ((Family.PLAIN, 1), (Family.PLAIN, 2))
-    parts: list[Graph] = []
-    if p >= 1:
-        cy = chen_yin_k4p4p(p)
-        parts = [
-            relabel_bipartite_part(g, (Family.V, Family.U), dest)
-            for g in cy.parts[:-1]
-        ]
+    parts = [_place(_chen_yin_part_edges(p, r), _CROWN) for r in range(1, p + 1)]
     if rem == 2:
-        parts.append(_graph_from_edges(_g_prime_edges(p)))
+        parts.append(_place(_g_prime_edges(p), _CROWN))
     target = times_k2(make_complete(n))
     return Decomposition(
         target=target,
@@ -269,68 +290,6 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
         guarantee=OPTIMAL,
         provenance=THM_3_3,
     )
-
-
-# ============================================================
-# Relabeling bipartite parts into product layers
-# ============================================================
-
-
-def relabel_bipartite_part(part: Graph, source, dest) -> Graph:
-    """Relabel a two-family part onto (family, layer) destinations.
-
-    source is a pair of layerless families, dest a pair of (Family, layer)
-    targets; indices are preserved.  Any vertex outside the two source
-    families is an error: parts fed through here must be purely bipartite.
-    """
-    fam_a, fam_b = source
-    (dfam_a, dlay_a), (dfam_b, dlay_b) = dest
-
-    def mapv(v):
-        if v.family is fam_a:
-            return VertexLabel(dfam_a, v.index, dlay_a)
-        if v.family is fam_b:
-            return VertexLabel(dfam_b, v.index, dlay_b)
-        raise PreconditionError(
-            f"vertex {v.name} is in neither source family "
-            f"({fam_a.letter}, {fam_b.letter})"
-        )
-
-    return part.map_vertices(mapv)
-
-
-# The two three-block layouts used by the tripartite constructions.  A
-# bipartite part on (v, u) is copied once per entry, v onto the first
-# (family, layer) and u onto the second.
-_BLOCKS_LAYER1 = (
-    ((Family.X, 1), (Family.Y, 2)),
-    ((Family.Y, 1), (Family.Z, 2)),
-    ((Family.Z, 1), (Family.X, 2)),
-)
-_BLOCKS_LAYER2 = (
-    ((Family.X, 2), (Family.Y, 1)),
-    ((Family.Y, 2), (Family.Z, 1)),
-    ((Family.Z, 2), (Family.X, 1)),
-)
-
-
-def _three_copies(part: Graph, blocks) -> Graph:
-    """Union of the three relabeled copies of a bipartite part.
-
-    The copies are vertex-disjoint (each block pair touches different
-    (family, layer) classes), so planarity of the part is inherited.
-    """
-    out = relabel_bipartite_part(part, (Family.V, Family.U), blocks[0])
-    for blk in blocks[1:]:
-        out = graph_union(out, relabel_bipartite_part(part, (Family.V, Family.U), blk))
-    return out
-
-
-def _six_cycle_edges(i: int) -> list[tuple]:
-    """The 6-cycle x1_i y2_i z1_i x2_i y1_i z2_i covering the index-i matchings."""
-    x1, y1, z1 = (_lab(f, 1, i) for f in (Family.X, Family.Y, Family.Z))
-    x2, y2, z2 = (_lab(f, 2, i) for f in (Family.X, Family.Y, Family.Z))
-    return [(x1, y2), (y2, z1), (z1, x2), (x2, y1), (y1, z2), (z2, x1)]
 
 
 # ============================================================
@@ -349,14 +308,10 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     if p < 1:
         raise InvalidSizeError(f"knnn_times_k2_n0mod4 needs p >= 1, got {p}")
     n = 4 * p
-    cy = chen_yin_k4p4p(p)
-    main = cy.parts[:-1]
-    parts = [_three_copies(g, _BLOCKS_LAYER1) for g in main]
-    parts += [_three_copies(g, _BLOCKS_LAYER2) for g in main]
-    cycles: list[tuple] = []
-    for i in range(1, n + 1):
-        cycles.extend(_six_cycle_edges(i))
-    parts.append(_graph_from_edges(cycles))
+    main = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
+    parts = [_place(pairs, _BLOCKS_LAYER1) for pairs in main]
+    parts += [_place(pairs, _BLOCKS_LAYER2) for pairs in main]
+    parts.append(_place([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS))
     target = times_k2(make_complete_tripartite(n, n, n))
     return Decomposition(
         target=target,
@@ -385,26 +340,19 @@ def _n1_part_adjustments(p: int, r: int):
     """
     nn = 4 * p + 1
     i1, i2, i3, i4 = _block(r)
-    x1 = lambda i: _lab(Family.X, 1, i)
-    x2 = lambda i: _lab(Family.X, 2, i)
-    y1 = lambda i: _lab(Family.Y, 1, i)
-    y2 = lambda i: _lab(Family.Y, 2, i)
-    z1 = lambda i: _lab(Family.Z, 1, i)
-    z2 = lambda i: _lab(Family.Z, 2, i)
-
     adds1 = [
-        (x1(nn), y2(i1)), (x1(nn), y2(i4)),
-        (y2(nn), x1(i3)), (y2(nn), x1(_n1_wrap(p, 4 * r + 2))),
-        (y1(nn), z2(i2)), (y1(nn), z2(i3)),
-        (z2(nn), y1(i2)), (z2(nn), y1(i3)),
-        (z1(nn), x2(i1)), (z1(nn), x2(i4)),
-        (x2(nn), z1(i1)), (x2(nn), z1(i4)),
-        (z1(i4), x2(i4)),
-        (y1(i3), z2(i3)),
-        (z1(i2), y2(i2)),
-        (x1(i1), z2(i1)),
+        (_x1(nn), _y2(i1)), (_x1(nn), _y2(i4)),
+        (_y2(nn), _x1(i3)), (_y2(nn), _x1(_n1_wrap(p, 4 * r + 2))),
+        (_y1(nn), _z2(i2)), (_y1(nn), _z2(i3)),
+        (_z2(nn), _y1(i2)), (_z2(nn), _y1(i3)),
+        (_z1(nn), _x2(i1)), (_z1(nn), _x2(i4)),
+        (_x2(nn), _z1(i1)), (_x2(nn), _z1(i4)),
+        (_z1(i4), _x2(i4)),
+        (_y1(i3), _z2(i3)),
+        (_z1(i2), _y2(i2)),
+        (_x1(i1), _z2(i1)),
     ]
-    dels1 = [(y1(i1), z2(i4)), (z1(i2), x2(i3))]
+    dels1 = [(_y1(i1), _z2(i4)), (_z1(i2), _x2(i3))]
 
     def swap(v: VertexLabel) -> VertexLabel:
         return VertexLabel(v.family, v.index, 3 - v.layer)
@@ -415,7 +363,7 @@ def _n1_part_adjustments(p: int, r: int):
 
 
 def _n1_final_part_edges(p: int) -> list[tuple]:
-    """The last part for n = 4p+1: hub leftovers, matchings, repair edges.
+    """Edges of the last part for n = 4p+1 besides the new-index 6-cycle.
 
     Index classes: i = 4r-3, 4r take the y/z hub spokes while i = 4r-2,
     4r-1 take the x hub spokes, complementing what the main parts
@@ -424,37 +372,30 @@ def _n1_final_part_edges(p: int) -> list[tuple]:
     pair reappear here.
     """
     nn = 4 * p + 1
-    x1 = lambda i: _lab(Family.X, 1, i)
-    x2 = lambda i: _lab(Family.X, 2, i)
-    y1 = lambda i: _lab(Family.Y, 1, i)
-    y2 = lambda i: _lab(Family.Y, 2, i)
-    z1 = lambda i: _lab(Family.Z, 1, i)
-    z2 = lambda i: _lab(Family.Z, 2, i)
     es: list[tuple] = []
     for i in range(1, 4 * p + 1):
         if i % 4 in (2, 3):
             es += [
-                (x1(nn), y2(i)), (x2(nn), y1(i)),
-                (z1(nn), x2(i)), (z2(nn), x1(i)),
-                (x1(nn), z2(i)), (x2(nn), z1(i)),
-                (x1(i), z2(i)), (x2(i), z1(i)),
+                (_x1(nn), _y2(i)), (_x2(nn), _y1(i)),
+                (_z1(nn), _x2(i)), (_z2(nn), _x1(i)),
+                (_x1(nn), _z2(i)), (_x2(nn), _z1(i)),
+                (_x1(i), _z2(i)), (_x2(i), _z1(i)),
             ]
         else:
             es += [
-                (y1(nn), z2(i)), (y2(nn), z1(i)),
-                (z1(nn), y2(i)), (z2(nn), y1(i)),
-                (y1(nn), x2(i)), (y2(nn), x1(i)),
-                (y1(i), z2(i)), (y2(i), z1(i)),
+                (_y1(nn), _z2(i)), (_y2(nn), _z1(i)),
+                (_z1(nn), _y2(i)), (_z2(nn), _y1(i)),
+                (_y1(nn), _x2(i)), (_y2(nn), _x1(i)),
+                (_y1(i), _z2(i)), (_y2(i), _z1(i)),
             ]
-        es.append((x1(i), y2(i)))
-        es.append((x2(i), y1(i)))
+        es.append((_x1(i), _y2(i)))
+        es.append((_x2(i), _y1(i)))
     for r in range(1, p + 1):
         i1, i2, i3, i4 = _block(r)
         es += [
-            (y1(i1), z2(i4)), (y2(i1), z1(i4)),
-            (z1(i2), x2(i3)), (z2(i2), x1(i3)),
+            (_y1(i1), _z2(i4)), (_y2(i1), _z1(i4)),
+            (_z1(i2), _x2(i3)), (_z2(i2), _x1(i3)),
         ]
-    es += _six_cycle_edges(nn)
     return es
 
 
@@ -471,20 +412,15 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
             "n = 1 and n = 5 are served by fixtures"
         )
     n = 4 * p + 1
-    cy = chen_yin_k4p4p(p)
-    main = cy.parts[:-1]
     parts: list[Graph] = []
     swapped: list[Graph] = []
     for r in range(1, p + 1):
-        base1 = _three_copies(main[r - 1], _BLOCKS_LAYER1).edge_set
-        base2 = _three_copies(main[r - 1], _BLOCKS_LAYER2).edge_set
+        pairs = _chen_yin_part_edges(p, r)
         adds1, dels1, adds2, dels2 = _n1_part_adjustments(p, r)
-        e1 = (base1 - {edge(a, b) for a, b in dels1}) | {edge(a, b) for a, b in adds1}
-        e2 = (base2 - {edge(a, b) for a, b in dels2}) | {edge(a, b) for a, b in adds2}
-        parts.append(_graph_from_edges(e1))
-        swapped.append(_graph_from_edges(e2))
+        parts.append(_place(pairs, _BLOCKS_LAYER1, adds1, dels1))
+        swapped.append(_place(pairs, _BLOCKS_LAYER2, adds2, dels2))
     parts += swapped
-    parts.append(_graph_from_edges(_n1_final_part_edges(p)))
+    parts.append(_place([(n, n)], _SIX_BLOCKS, _n1_final_part_edges(p)))
     target = times_k2(make_complete_tripartite(n, n, n))
     return Decomposition(
         target=target,
@@ -571,9 +507,23 @@ def validate_seed(seed: MinimalBipartiteDecomposition) -> None:
         raise SeedInvalidError(f"seed fails verification: {report.summary()}")
 
 
-def _augment(part: Graph, pairs) -> Graph:
-    extra = _graph_from_edges(pairs)
-    return graph_union(part, extra)
+def _seed_part_pairs(part: Graph):
+    """(pairs, vs, us) of a seed part: an index pair per edge, every v and u index.
+
+    Any vertex outside the v and u families is an error, isolated or not.
+    """
+    vs, us = [], []
+    for w in part.vertices:
+        if w.family is Family.V:
+            vs.append(w.index)
+        elif w.family is Family.U:
+            us.append(w.index)
+        else:
+            raise PreconditionError(f"vertex {w.name} is in neither source family (v, u)")
+    if len(set(vs)) < len(vs) or len(set(us)) < len(us):
+        raise PreconditionError("vertex relabeling is not injective")
+    # A validated seed's edges are all u_b v_a, and u sorts before v.
+    return [(v.index, u.index) for u, v in part.edges], vs, us
 
 
 def lemma46_assemble(p: int, seed: MinimalBipartiteDecomposition) -> Decomposition:
@@ -595,22 +545,17 @@ def lemma46_assemble(p: int, seed: MinimalBipartiteDecomposition) -> Decompositi
     validate_seed(seed)
     m = 4 * p + 3
     a, b = _seed_single_edge_indices(seed)
-    x1 = lambda i: _lab(Family.X, 1, i)
-    x2 = lambda i: _lab(Family.X, 2, i)
-    y1 = lambda i: _lab(Family.Y, 1, i)
-    y2 = lambda i: _lab(Family.Y, 2, i)
-    z1 = lambda i: _lab(Family.Z, 1, i)
-    z2 = lambda i: _lab(Family.Z, 2, i)
-
-    main = seed.parts[:-1]
-    h1 = [_three_copies(g, _BLOCKS_LAYER1) for g in main]
-    h2 = [_three_copies(g, _BLOCKS_LAYER2) for g in main]
     # The six copies of the dropped single edge, each sent to the group
     # whose copies do NOT already contain its endpoints' blocks.
-    h1[0] = _augment(h1[0], [(x2(a), y1(b)), (z2(a), x1(b))])
-    h1[1] = _augment(h1[1], [(y2(a), z1(b))])
-    h2[0] = _augment(h2[0], [(x1(a), y2(b)), (z1(a), x2(b))])
-    h2[1] = _augment(h2[1], [(y1(a), z2(b))])
+    relocated1 = ([(_x2(a), _y1(b)), (_z2(a), _x1(b))], [(_y2(a), _z1(b))])
+    relocated2 = ([(_x1(a), _y2(b)), (_z1(a), _x2(b))], [(_y1(a), _z2(b))])
+    h1: list[Graph] = []
+    h2: list[Graph] = []
+    for k, part in enumerate(seed.parts[:-1]):
+        pairs, vs, us = _seed_part_pairs(part)
+        adds1, adds2 = (relocated1[k], relocated2[k]) if k < 2 else ((), ())
+        h1.append(_place(pairs, _BLOCKS_LAYER1, adds1, vs=vs, us=us))
+        h2.append(_place(pairs, _BLOCKS_LAYER2, adds2, vs=vs, us=us))
     for label, g in (("first", h1[0]), ("second", h1[1]),
                      ("first", h2[0]), ("second", h2[1])):
         if not is_planar(g).planar:
@@ -707,7 +652,7 @@ def oracle_seed_provider(budget=None):
 
         m = 4 * p + 3
         g = make_complete_bipartite(m, m)
-        forced = edge(_v(m), _u(m))
+        forced = edge(VertexLabel(Family.V, m), VertexLabel(Family.U, m))
         result = find_planar_partition(g, p + 2, budget=budget, force_single_edge=forced)
         if result.found is None:
             raise SeedRequiredError(

@@ -175,19 +175,6 @@ class Graph:
     def degree(self, v: Vertex) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, a: Vertex, b: Vertex) -> bool:
-        return edge(a, b) in self._edge_set
-
-    def map_vertices(self, fn) -> Graph:
-        """Relabel through fn; fn must be injective on this graph's vertices."""
-        mapping = {v: fn(v) for v in self._vertices}
-        if len(set(mapping.values())) != len(mapping):
-            raise PreconditionError("vertex relabeling is not injective")
-        return Graph(
-            mapping.values(),
-            ((mapping[a], mapping[b]) for a, b in self._edges),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -270,9 +257,8 @@ def remove_edges(g: Graph, edges) -> Graph:
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:
-    """Subgraph induced by the vertices satisfying keep (predicate or container)."""
-    pred = keep if callable(keep) else (lambda v, _s=frozenset(keep): v in _s)
-    vs = [v for v in g.vertices if pred(v)]
+    """Subgraph induced by the vertices v for which keep(v) is true."""
+    vs = [v for v in g.vertices if keep(v)]
     vset = frozenset(vs)
     return Graph(vs, ((a, b) for a, b in g.edges if a in vset and b in vset))
 
@@ -302,7 +288,7 @@ def components(g: Graph) -> list[Graph]:
                     comp.add(w)
                     queue.append(w)
         seen |= comp
-        out.append(induced_subgraph(g, comp))
+        out.append(induced_subgraph(g, comp.__contains__))
     return out
 
 

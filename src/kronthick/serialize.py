@@ -175,10 +175,6 @@ def decomposition_from_document(doc) -> Decomposition:
     )
 
 
-def is_decomposition_document(doc) -> bool:
-    return isinstance(doc, dict) and "parts" in doc and "target" in doc
-
-
 # ============================================================
 # Reports
 # ============================================================

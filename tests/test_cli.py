@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 import json
 
@@ -133,10 +134,59 @@ def test_decompose_seed_dir_without_file(capsys, tmp_path, monkeypatch):
     assert run(capsys, "decompose", "knnn_x_k2", "11")[0] == 4
 
 
-def test_decompose_output_byte_stable(capsys):
-    a = run(capsys, "decompose", "kn_x_k2", "12")[1]
-    b = run(capsys, "decompose", "kn_x_k2", "12")[1]
-    assert a == b
+# sha256 of `decompose` stdout, recorded before the constructions were
+# rewritten to build each part once.  A "-seed" case passes the bundled
+# K_{7,7} seed file.
+_DECOMPOSE_SHA256 = {
+    "kn_x_k2-2":
+        "11fa25c9deae6c0f9eb2f48a65ee50b349baeb2bbfcbb9c638553e60c05b74d8",
+    "kn_x_k2-3":
+        "15bd7f47f608bd49b612ca730eff96ebb10136e9a09da550c78b132fa761e5aa",
+    "kn_x_k2-5":
+        "13dbd7dfbbb47347f22cffc8f75d05ebbf1894b1ee57480268aa6cc79d0aefd1",
+    "kn_x_k2-6":
+        "d367fb3ffed829aff194be571e8d628181a1176966c7f184deaa1c7e331eb1d5",
+    "kn_x_k2-7":
+        "a71892f97df0f905e92403be62dd9da09312bb82ce8563d884649a9cbeb51fb0",
+    "kn_x_k2-8":
+        "1440218a6fa10ba032a8a97bbfecb8100bad7a874180057a174622b0b416265b",
+    "kn_x_k2-9":
+        "3e52c96fa50aed72313f170f125ec269b120e2385a712206641a44db3b8afa89",
+    "kn_x_k2-12":
+        "9a390ce088f9d596f1b488afa8866270862a3772266fd0a926be1bea90071e27",
+    "knn-1":
+        "22598641df5e990108f011d555ae98d22135595222097c1a75beaf7202a2cdf3",
+    "knn-3":
+        "01d0ca3936b3027cb7880c3f55aa85c7de93de6ed681101000f60f9defa4ad32",
+    "knnn_x_k2-1":
+        "cc870aa9c8602f39398d6fc846b86056228cdf898669d73c99bf9cedf8f605f8",
+    "knnn_x_k2-2":
+        "71861dc2d27f85354ba14b448aaa60df420dc0e3efac02a43d60aea658047286",
+    "knnn_x_k2-3":
+        "94624d171f7210f419ea6c291a9c74f3a0d4e1bfe157e62529241d325c2b464b",
+    "knnn_x_k2-4":
+        "7c69994296455794d1989889de2318ac0cdfd0b4794c6a8cf27e69410d304824",
+    "knnn_x_k2-5":
+        "332d2b0458c1591770e304acd4992bcaa1d6a0aa432012da3a4516764f30f6de",
+    "knnn_x_k2-8":
+        "c03c9393cf8232fbec6af921357dad3b1c7dc4b8b4349dd026183f659591d50d",
+    "knnn_x_k2-9":
+        "91f7bda0d39248935e684f30114f1683c960193b06b621bfa0a7f2571cbcf55e",
+    "knnn_x_k2-13":
+        "4d9d2223cc13c8b7fc7a25f0912fd3a3a3048a02a664e4e902de73d9fc4476de",
+    "knnn_x_k2-6-seed":
+        "ecaae3d36449eac36b3a9168b5ba0fe23191e82c121dab254c65fbbbc45aceab",
+    "knnn_x_k2-7-seed":
+        "a33ef74c8f4ff7ea4b6d00cf197b6051ea91db7a68c8f0239bd2dfdfc83d3f06",
+}
+
+
+@pytest.mark.parametrize("case", _DECOMPOSE_SHA256)
+def test_decompose_output_byte_stable(capsys, case):
+    family, n, *seed = case.split("-")
+    code, out = run(capsys, "decompose", family, n, *(["--seed", SEED_PATH] if seed else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _DECOMPOSE_SHA256[case]
 
 
 def test_decompose_usage_errors(capsys):
@@ -208,6 +258,13 @@ def _add_vertex(obj):
     return mutate
 
 
+def _add_edge(make):
+    def mutate(doc):
+        edges = doc["parts"][0]["edges"]
+        edges.append(make(edges[0]))
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -221,11 +278,15 @@ def _add_vertex(obj):
         _add_vertex({"family": "U", "index": 9, "layer": True}),
         _set(["parts", 0, "vertices", 0, "family"], ["U"]),
         _set(["parts", 0, "edges", 0], [["u_1"], "v_2"]),
+        _add_edge(list),
+        _add_edge(lambda e: e[::-1]),
+        _add_edge(lambda e: [e[0], e[0]]),
     ],
     ids=[
         "parts-int", "parts-object", "vertices-int", "edges-object",
         "target-edges-object", "target-vertices-string", "index-bool",
-        "layer-bool", "family-list", "edge-ref-list",
+        "layer-bool", "family-list", "edge-ref-list", "edge-twice",
+        "edge-reversed", "self-loop",
     ],
 )
 def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):

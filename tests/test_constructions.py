@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.resources
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,12 @@ from kronthick.bounds import (
     thickness_lower_bound,
 )
 from kronthick.constructions import (
+    _BLOCKS_LAYER1,
+    _BLOCKS_LAYER2,
+    _UV,
     Decomposition,
+    _chen_yin_part_edges,
+    _place,
     chen_yin_k4p4p,
     kn_times_k2_decomposition,
     knnn_times_k2_decomposition,
@@ -19,7 +25,6 @@ from kronthick.constructions import (
     knnn_times_k2_n0mod4,
     knnn_times_k2_n1mod4,
     lemma46_assemble,
-    relabel_bipartite_part,
     restrict_decomposition,
     validate_seed,
 )
@@ -31,6 +36,7 @@ from kronthick.errors import (
 )
 from kronthick.graphs import (
     Family,
+    Graph,
     VertexLabel,
     components,
     make_complete,
@@ -134,57 +140,67 @@ def test_odd_case_restricts_even_case():
 
 
 # ============================================================
-# Relabeling
+# Placing index pairs on label blocks
 # ============================================================
 
 
-def test_relabel_preserves_edge_count():
-    part = chen_yin_k4p4p(2).parts[0]
-    moved = relabel_bipartite_part(
-        part, source=(Family.V, Family.U), dest=((Family.X, 1), (Family.Y, 2))
-    )
-    assert moved.num_edges == part.num_edges
-    fams = {(v.family, v.layer) for v in moved.vertices}
-    assert fams <= {(Family.X, 1), (Family.Y, 2)}
-
-
-def test_relabel_roundtrip_is_identity():
-    part = chen_yin_k4p4p(1).parts[0]
-    there = relabel_bipartite_part(
-        part, source=(Family.V, Family.U), dest=((Family.X, 1), (Family.Y, 2))
-    )
-    # layered vertices carry (family, layer); map back to plain U/V
-    back = there.map_vertices(
-        lambda v: VertexLabel(
-            Family.V if v.family == Family.X else Family.U, v.index
-        )
-    )
-    assert back == part
-
-
-def test_relabel_rejects_foreign_families():
-    part = chen_yin_k4p4p(1).parts[0]
-    with pytest.raises(PreconditionError):
-        relabel_bipartite_part(
-            part, source=(Family.X, Family.Y), dest=((Family.X, 1), (Family.Y, 2))
-        )
-
-
 def test_three_block_copies_are_vertex_disjoint():
-    part = chen_yin_k4p4p(2).parts[0]
-    blocks = [
-        ((Family.X, 1), (Family.Y, 2)),
-        ((Family.Y, 1), (Family.Z, 2)),
-        ((Family.Z, 1), (Family.X, 2)),
+    pairs = _chen_yin_part_edges(2, 1)
+    one = _place(pairs, _UV)
+    for blocks in (_BLOCKS_LAYER1, _BLOCKS_LAYER2):
+        three = _place(pairs, blocks)
+        assert three.num_vertices == 3 * one.num_vertices
+        assert three.num_edges == 3 * one.num_edges
+        classes = {frozenset(b) for b in blocks}
+        for a, b in three.edges:
+            assert frozenset({(a.family, a.layer), (b.family, b.layer)}) in classes
+
+
+def _seed_with_extra_vertex(extra):
+    seed = bundled_seed()
+    first = seed.parts[0]
+    part = Graph(first.vertex_set | {extra}, first.edges)
+    return replace(seed, parts=(part,) + seed.parts[1:])
+
+
+def test_seed_part_with_foreign_vertex_rejected():
+    with pytest.raises(PreconditionError):
+        lemma46_assemble(1, _seed_with_extra_vertex(VertexLabel(Family.X, 1)))
+
+
+def test_isolated_seed_vertex_is_placed_on_its_copies():
+    base = lemma46_assemble(1, bundled_seed())
+    d = lemma46_assemble(1, _seed_with_extra_vertex(VertexLabel(Family.U, 8)))
+    added = [
+        sorted(v.name for v in g.vertex_set - h.vertex_set)
+        for g, h in zip(d.parts, base.parts)
     ]
-    copies = [
-        relabel_bipartite_part(part, source=(Family.V, Family.U), dest=b)
-        for b in blocks
-    ]
-    seen: set = set()
-    for c in copies:
-        assert seen.isdisjoint(c.vertex_set)
-        seen |= c.vertex_set
+    assert added == [["x2_8", "y2_8", "z2_8"], [], ["x1_8", "y1_8", "z1_8"], []]
+    for g, h in zip(d.parts, base.parts):
+        assert h.vertex_set <= g.vertex_set
+        assert g.edge_set == h.edge_set
+
+
+@pytest.mark.parametrize(
+    "build,n,built",
+    [
+        (kn_times_k2_decomposition, 16, 7),
+        (knnn_times_k2_decomposition, 8, 8),
+        (knnn_times_k2_decomposition, 9, 8),
+    ],
+)
+def test_each_part_is_built_once(monkeypatch, build, n, built):
+    graphs = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        graphs.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    d = build(n)
+    # The returned parts and target, plus the target's two factors.
+    assert len(graphs) == built == d.num_parts + 3
 
 
 # ============================================================
@@ -296,8 +312,6 @@ def test_restriction_to_n6():
 
 def test_seed_with_wrong_shape_rejected():
     seed = bundled_seed()
-    from dataclasses import replace
-
     broken = replace(seed, parts=seed.parts[:-1], single_edge=seed.single_edge)
     with pytest.raises(SeedInvalidError):
         validate_seed(broken)

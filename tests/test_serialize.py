@@ -29,7 +29,6 @@ from kronthick.serialize import (
     graph_document,
     graph_from_document,
     graph_to_dot,
-    is_decomposition_document,
     load_json,
     load_seed_file,
     report_document,
@@ -105,7 +104,6 @@ def test_load_json_rejects_bad_files(tmp_path):
 def test_decomposition_roundtrip():
     d = chen_yin_k4p4p(2)
     doc = decomposition_document(d)
-    assert is_decomposition_document(doc)
     back = decomposition_from_document(doc)
     assert back.target == d.target
     assert back.parts == d.parts
@@ -118,10 +116,6 @@ def test_decomposition_roundtrip_byte_stable():
     once = to_json(decomposition_document(d))
     again = to_json(decomposition_document(decomposition_from_document(json.loads(once))))
     assert once == again
-
-
-def test_is_decomposition_document_distinguishes_graphs():
-    assert not is_decomposition_document(graph_document(make_complete(3)))
 
 
 # ============================================================
