@@ -23,8 +23,6 @@ LEMMA_3_2 = "LEMMA_3_2"
 THM_3_3 = "THM_3_3"
 THM_3_4 = "THM_3_4"
 THM_3_6 = "THM_3_6"
-COR_3_7 = "COR_3_7"
-COR_3_8 = "COR_3_8"
 THM_4_1 = "THM_4_1"
 LEMMA_4_2 = "LEMMA_4_2"
 LEMMA_4_4 = "LEMMA_4_4"
@@ -35,7 +33,6 @@ PLANAR = "PLANAR"
 OPEN = "OPEN"
 ORACLE = "ORACLE"
 FIXTURE = "FIXTURE"
-RESTRICTION = "RESTRICTION"
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -4,8 +4,10 @@ The decision procedure is the left-right criterion: one DFS orients the graph
 and computes lowpoints and a nesting order, a second DFS maintains a stack of
 conflict pairs of return-edge intervals and rejects exactly the non-planar
 inputs, and a final pass resolves the side of every edge into a rotation
-system (clockwise neighbor order per vertex).  All three passes are iterative,
-so deep graphs cannot overflow the interpreter stack.
+system (clockwise neighbor order per vertex).  The core works on integer ids
+throughout: vertices are 0..n-1, edges are numbered in the order they are
+oriented, and every per-vertex or per-edge value is a list entry.  All three
+passes are iterative, so deep graphs cannot overflow the interpreter stack.
 
 Every planar verdict is checked on the core's integer ids before it is mapped
 back to labels: each vertex's rotation must list exactly its input neighbors,
@@ -48,55 +50,38 @@ class PlanarityVerdict:
 
 
 # ============================================================
-# Left-right criterion core (integer vertices)
+# Left-right criterion core (integer vertices and edges)
 # ============================================================
 
 
-class _Interval:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self):
-        return self.low is None and self.high is None
-
-
-class _ConflictPair:
-    __slots__ = ("L", "R")
-
-    def __init__(self, L=None, R=None):
-        self.L = L if L is not None else _Interval()
-        self.R = R if R is not None else _Interval()
-
-    def swap(self):
-        self.L, self.R = self.R, self.L
-
-
 def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
-    """Run the left-right test on vertices 0..n-1.
+    """Run the left-right test on the simple graph with vertices 0..n-1.
+
+    Edges are integer ids 0..m-1, numbered in the order the first DFS orients
+    them; edge e runs from src[e] to dst[e], and every per-edge value lives in
+    a list indexed by e.  -1 stands for "no vertex" or "no edge".
 
     Returns (True, rotation) when planar (rotation is None unless
     want_embedding), else (False, None).
     """
     if n >= 3 and sum(map(len, adj)) > 2 * (3 * n - 6):  # Euler edge prefilter
         return False, None
-    height: list = [None] * n
-    parent_edge: list = [None] * n
-    lowpt: dict = {}
-    lowpt2: dict = {}
-    nesting: dict = {}
-    adj_out: list[list] = [[] for _ in range(n)]
-    oriented: set = set()
+    height = [-1] * n
+    parent_edge = [-1] * n
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    nesting: list[int] = []
+    adj_out: list[list[int]] = [[] for _ in range(n)]
     roots: list[int] = []
 
     def finish_edge(ei):
         # nesting depth and lowpoint propagation once ei's subtree is done
-        v = ei[0]
+        v = src[ei]
         nesting[ei] = 2 * lowpt[ei] + (1 if lowpt2[ei] < height[v] else 0)
         pe = parent_edge[v]
-        if pe is not None:
+        if pe != -1:
             if lowpt[ei] < lowpt[pe]:
                 lowpt2[pe] = min(lowpt[pe], lowpt2[ei])
                 lowpt[pe] = lowpt[ei]
@@ -106,227 +91,217 @@ def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
                 lowpt2[pe] = min(lowpt2[pe], lowpt2[ei])
 
     # ---- phase 1: orientation ----
+    # In a DFS of a simple graph a visited neighbor w of v is the parent, a
+    # finished descendant whose edge to v is already oriented, or an ancestor
+    # above the parent: only the last one gives a new (back) edge.
     ptr = [0] * n
     for s in range(n):
-        if height[s] is not None:
+        if height[s] != -1:
             continue
         height[s] = 0
         roots.append(s)
         stack = [s]
         while stack:
             v = stack[-1]
-            advanced = False
+            hv = height[v]
             while ptr[v] < len(adj[v]):
                 w = adj[v][ptr[v]]
                 ptr[v] += 1
-                if (v, w) in oriented or (w, v) in oriented:
+                hw = height[w]
+                if hw != -1 and hw >= hv - 1:
                     continue
-                ei = (v, w)
-                oriented.add(ei)
+                ei = len(src)
+                src.append(v)
+                dst.append(w)
                 adj_out[v].append(ei)
-                lowpt[ei] = height[v]
-                lowpt2[ei] = height[v]
-                if height[w] is None:  # tree edge
+                lowpt2.append(hv)
+                nesting.append(0)
+                if hw == -1:  # tree edge
+                    lowpt.append(hv)
                     parent_edge[w] = ei
-                    height[w] = height[v] + 1
+                    height[w] = hv + 1
                     stack.append(w)
-                    advanced = True
                     break
-                # back edge
-                lowpt[ei] = height[w]
+                lowpt.append(hw)  # back edge
                 finish_edge(ei)
-            if not advanced:
+            else:  # no tree edge left to descend: v is done
                 stack.pop()
                 pe = parent_edge[v]
-                if pe is not None:
+                if pe != -1:
                     finish_edge(pe)
 
-    ordered: list[list] = [
-        sorted(adj_out[v], key=lambda e: nesting[e]) for v in range(n)
-    ]
+    m = len(src)
+    ordered = [sorted(out, key=nesting.__getitem__) for out in adj_out]
 
     # ---- phase 2: testing ----
-    S: list[_ConflictPair] = []
-    stack_bottom: dict = {}
-    lowpt_edge: dict = {}
-    ref: dict = {}
-    side: dict = {e: 1 for e in oriented}
+    # A conflict pair is [L.low, L.high, R.low, R.high]; an interval is empty
+    # when both its ends are -1.  bottom[e] is len(S) when e is entered.
+    S: list[list[int]] = []
+    bottom = [0] * m
+    lowpt_edge = [-1] * m
+    ref = [-1] * m
+    side = [1] * m
 
-    def top_of_stack():
-        return S[-1] if S else None
-
-    def conflicting(interval, b):
-        return not interval.empty() and lowpt[interval.high] > lowpt[b]
-
-    def lowest(pair):
-        if pair.L.empty():
-            return lowpt[pair.R.low]
-        if pair.R.empty():
-            return lowpt[pair.L.low]
-        return min(lowpt[pair.L.low], lowpt[pair.R.low])
+    def lowest(P):
+        if P[0] == -1 and P[1] == -1:
+            return lowpt[P[2]]
+        if P[2] == -1 and P[3] == -1:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
 
     def add_constraints(ei, e) -> bool:
-        P = _ConflictPair()
+        P = [-1, -1, -1, -1]
         # merge return edges of ei into P.R
         while True:
             Q = S.pop()
-            if not Q.L.empty():
-                Q.swap()
-            if not Q.L.empty():
+            if Q[0] != -1 or Q[1] != -1:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] != -1 or Q[1] != -1:
                 return False
-            if lowpt[Q.R.low] > lowpt[e]:
-                if P.R.empty():
-                    P.R.high = Q.R.high
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] == -1 and P[3] == -1:
+                    P[3] = Q[3]
                 else:
-                    ref[P.R.low] = Q.R.high
-                P.R.low = Q.R.low
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
             else:
                 # align with the lowest return edge of e
-                ref[Q.R.low] = lowpt_edge[e]
-            if top_of_stack() is stack_bottom[ei]:
+                ref[Q[2]] = lowpt_edge[e]
+            if len(S) == bottom[ei]:
                 break
-        # merge return edges of earlier siblings that conflict with ei into P.L
-        while conflicting(top_of_stack().L, ei) or conflicting(top_of_stack().R, ei):
+        # merge return edges of earlier siblings that conflict with ei into P.L;
+        # an interval conflicts with ei when its high end returns above lowpt[ei]
+        lo = lowpt[ei]
+        while (
+            S[-1][1] != -1 and lowpt[S[-1][1]] > lo
+            or S[-1][3] != -1 and lowpt[S[-1][3]] > lo
+        ):
             Q = S.pop()
-            if conflicting(Q.R, ei):
-                Q.swap()
-            if conflicting(Q.R, ei):
+            if Q[3] != -1 and lowpt[Q[3]] > lo:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[3] != -1 and lowpt[Q[3]] > lo:
                 return False
-            if P.R.low is not None:
-                ref[P.R.low] = Q.R.high
-            if Q.R.low is not None:
-                P.R.low = Q.R.low
-            if P.L.empty():
-                P.L.high = Q.L.high
+            if P[2] != -1:
+                ref[P[2]] = Q[3]
+            if Q[2] != -1:
+                P[2] = Q[2]
+            if P[0] == -1 and P[1] == -1:
+                P[1] = Q[1]
             else:
-                ref[P.L.low] = Q.L.high
-            P.L.low = Q.L.low
-        if not (P.L.empty() and P.R.empty()):
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [-1, -1, -1, -1]:
             S.append(P)
         return True
+
+    def integrate(ei, v) -> bool:
+        # fold the finished edge ei into the edge entering its source v
+        if lowpt[ei] >= height[v]:  # no return edge below v
+            return True
+        e = parent_edge[v]
+        if ei == ordered[v][0]:
+            lowpt_edge[e] = lowpt_edge[ei]
+            return True
+        return add_constraints(ei, e)
 
     def trim_back_edges(u):
         hu = height[u]
         while S and lowest(S[-1]) == hu:
             P = S.pop()
-            if P.L.low is not None:
-                side[P.L.low] = -1
+            if P[0] != -1:
+                side[P[0]] = -1
         if S:
-            P = S.pop()
-            while P.L.high is not None and P.L.high[1] == u:
-                P.L.high = ref.get(P.L.high)
-            if P.L.high is None and P.L.low is not None:
-                ref[P.L.low] = P.R.low
-                side[P.L.low] = -1
-                P.L.low = None
-            while P.R.high is not None and P.R.high[1] == u:
-                P.R.high = ref.get(P.R.high)
-            if P.R.high is None and P.R.low is not None:
-                ref[P.R.low] = P.L.low
-                side[P.R.low] = -1
-                P.R.low = None
-            S.append(P)
+            P = S[-1]
+            while P[1] != -1 and dst[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] == -1 and P[0] != -1:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = -1
+            while P[3] != -1 and dst[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] == -1 and P[2] != -1:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = -1
 
+    ptr = [0] * n
     for s in roots:
-        # frames: [vertex, next edge position, edge awaiting integration]
-        frames: list[list] = [[s, 0, None]]
-        while frames:
-            frame = frames[-1]
-            v = frame[0]
-            if frame[2] is not None:
-                ei = frame[2]
-                frame[2] = None
-                e = parent_edge[v]
-                if lowpt[ei] < height[v]:  # ei has a return edge below v
-                    if ei is ordered[v][0]:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
-                        return False, None
-            if frame[1] < len(ordered[v]):
-                ei = ordered[v][frame[1]]
-                frame[1] += 1
-                w = ei[1]
-                stack_bottom[ei] = top_of_stack()
-                if ei is parent_edge[w]:  # tree edge: descend, integrate later
-                    frame[2] = ei
-                    frames.append([w, 0, None])
-                    continue
-                # back edge
-                lowpt_edge[ei] = ei
-                S.append(_ConflictPair(R=_Interval(ei, ei)))
-                e = parent_edge[v]
-                if lowpt[ei] < height[v]:
-                    if ei is ordered[v][0]:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
+        stack = [s]
+        while stack:
+            v = stack[-1]
+            if ptr[v] < len(ordered[v]):
+                ei = ordered[v][ptr[v]]
+                ptr[v] += 1
+                w = dst[ei]
+                bottom[ei] = len(S)
+                if ei == parent_edge[w]:  # tree edge: integrated once w is done
+                    stack.append(w)
+                else:  # back edge
+                    lowpt_edge[ei] = ei
+                    S.append([-1, -1, ei, ei])
+                    if not integrate(ei, v):
                         return False, None
                 continue
-            # all outgoing edges of v done
-            frames.pop()
+            # all outgoing edges of v done: fold the tree edge into v's parent
+            stack.pop()
             e = parent_edge[v]
-            if e is not None:
-                u = e[0]
+            if e != -1:
+                u = src[e]
                 trim_back_edges(u)
                 if lowpt[e] < height[u]:  # e has a return edge
-                    hl = S[-1].L.high
-                    hr = S[-1].R.high
-                    if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                    hl, hr = S[-1][1], S[-1][3]
+                    if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
                         ref[e] = hl
                     else:
                         ref[e] = hr
+                if not integrate(e, u):
+                    return False, None
 
     if not want_embedding:
         return True, None
 
     # ---- phase 3: embedding ----
-    def resolved_side(e):
+    for e in range(m):
         # follow the reference chain, then fold the accumulated flips back
         chain = []
         cur = e
-        while ref.get(cur) is not None:
+        while ref[cur] != -1:
             chain.append(cur)
             cur = ref[cur]
         acc = side[cur]
         for x in reversed(chain):
             acc = side[x] * acc
             side[x] = acc
-            ref[x] = None
-        return acc
+            ref[x] = -1
+        nesting[e] *= acc
 
-    for e in oriented:
-        nesting[e] = resolved_side(e) * nesting[e]
+    ordered = [sorted(out, key=nesting.__getitem__) for out in adj_out]
+    order = [[dst[e] for e in out] for out in ordered]
 
-    order: list[list[int]] = [[] for _ in range(n)]
-    ordered = [sorted(adj_out[v], key=lambda e: nesting[e]) for v in range(n)]
-    for v in range(n):
-        order[v] = [e[1] for e in ordered[v]]
-
-    left_ref: list = [None] * n
-    right_ref: list = [None] * n
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    ptr = [0] * n
     for s in roots:
-        frames = [[s, 0]]
-        while frames:
-            frame = frames[-1]
-            v = frame[0]
-            if frame[1] < len(ordered[v]):
-                ei = ordered[v][frame[1]]
-                frame[1] += 1
-                w = ei[1]
-                if ei is parent_edge[w]:  # tree edge
-                    order[w].insert(0, v)
-                    left_ref[v] = w
-                    right_ref[v] = w
-                    frames.append([w, 0])
-                else:  # back edge: hook v into the rotation at w
-                    if side[ei] == 1:
-                        pos = order[w].index(right_ref[w])
-                        order[w].insert(pos + 1, v)
-                    else:
-                        pos = order[w].index(left_ref[w])
-                        order[w].insert(pos, v)
-                        left_ref[w] = v
+        stack = [s]
+        while stack:
+            v = stack[-1]
+            if ptr[v] == len(ordered[v]):
+                stack.pop()
+                continue
+            ei = ordered[v][ptr[v]]
+            ptr[v] += 1
+            w = dst[ei]
+            if ei == parent_edge[w]:  # tree edge
+                order[w].insert(0, v)
+                left_ref[v] = w
+                right_ref[v] = w
+                stack.append(w)
+            elif side[ei] == 1:  # back edge: hook v into the rotation at w
+                order[w].insert(order[w].index(right_ref[w]) + 1, v)
             else:
-                frames.pop()
+                order[w].insert(order[w].index(left_ref[w]), v)
+                left_ref[w] = v
 
     return True, order
 
@@ -407,6 +382,9 @@ def is_planar_edge_list(n: int, edges: list[tuple[int, int]]) -> bool:
     """Fast boolean planarity for integer edge lists (no certificate).
 
     Meant for inner search loops; vertices are 0..n-1, isolated ones allowed.
+    The graph must be simple: no loops and no edge listed twice (in either
+    direction).  Such inputs are not rejected, and the verdict on them is
+    meaningless.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:

@@ -166,8 +166,11 @@ def decomposition_from_document(doc) -> Decomposition:
     if figure is not None and not isinstance(figure, str):
         raise DocumentFormatError("provenance figure must be a string or null")
     _check_list(doc["parts"], "parts")
+    target = _graph_from_object(doc["target"])
+    if not target.vertices:
+        raise DocumentFormatError("decomposition target has no vertices")
     return Decomposition(
-        target=_graph_from_object(doc["target"]),
+        target=target,
         parts=tuple(_graph_from_object(o) for o in doc["parts"]),
         guarantee=str(doc["guarantee"]),
         provenance=str(prov["theorem"]),

@@ -278,6 +278,40 @@ def test_criterion_09_mutation_robustness():
     ok("criterion 9: PASS (every mutation flips the verifier with the right defect)")
 
 
+def test_criterion_09_move_into_nonplanar_part():
+    # move one edge from part i into a part j that it makes non-planar (by
+    # networkx): coverage still holds, and only part j may be reported
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    hits = 0
+    for d in all_passing_decompositions():
+        if len(d.parts) < 2:
+            continue
+        for _ in range(3):
+            parts = list(d.parts)
+            i = rng.randrange(len(parts))
+            while parts[i].num_edges == 0:
+                i = rng.randrange(len(parts))
+            moved = parts[i].edges[rng.randrange(parts[i].num_edges)]
+            others = [j for j in range(len(parts)) if j != i]
+            rng.shuffle(others)
+            for j in others:
+                grown = graph_union(parts[j], Graph(list(moved), [moved]))
+                if not nx.check_planarity(nx.Graph(grown.edges))[0]:
+                    break
+            else:
+                continue  # every other part stays planar with this edge
+            parts[i] = remove_edges(parts[i], [moved])
+            parts[j] = grown
+            report = verify_decomposition(d.target, parts)
+            assert report.nonplanar_parts == (j,)
+            assert report.coverage_missing == () and report.coverage_extra == ()
+            assert report.overlap == ()
+            hits += 1
+    assert hits > 0
+    ok(f"criterion 9: PASS ({hits} edges moved into a part they make non-planar)")
+
+
 # ============================================================
 # Criterion 10: seeded assembly for n = 7 and restriction to n = 6
 # ============================================================

@@ -281,12 +281,13 @@ def _add_edge(make):
         _add_edge(list),
         _add_edge(lambda e: e[::-1]),
         _add_edge(lambda e: [e[0], e[0]]),
+        _set(["target"], {"vertices": [], "edges": []}),
     ],
     ids=[
         "parts-int", "parts-object", "vertices-int", "edges-object",
         "target-edges-object", "target-vertices-string", "index-bool",
         "layer-bool", "family-list", "edge-ref-list", "edge-twice",
-        "edge-reversed", "self-loop",
+        "edge-reversed", "self-loop", "empty-target",
     ],
 )
 def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -170,6 +171,46 @@ def test_matches_networkx_on_construction_parts():
             rotation = verdict.certificate.rotation
             darts = Counter(frozenset((v, w)) for v, ns in rotation.items() for w in ns)
             assert darts == dict.fromkeys(map(frozenset, g.edges), 2)
+
+
+def _stacked_triangulation(n: int, rng) -> list[tuple[int, int]]:
+    # maximal planar: each new vertex goes into a random face so far
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        i = rng.randrange(len(faces))
+        a, b, c = faces[i]
+        faces[i] = (a, b, v)
+        faces += [(b, c, v), (a, c, v)]
+        edges += [(a, v), (b, v), (c, v)]
+    return edges
+
+
+@pytest.mark.parametrize("n", [12, 50, 120, 200, 335])
+def test_matches_networkx_on_triangulations(n):
+    # stacked triangulations up to 999 edges as they are (planar), and with two
+    # edges removed and one non-edge added: 3n - 7 edges, under the Euler
+    # count, so the LR core itself has to find the obstruction
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018 + n)
+    for _ in range(4):
+        edges = _stacked_triangulation(n, rng)
+        labels = [VertexLabel(Family.PLAIN, i) for i in range(1, n + 1)]
+        rng.shuffle(labels)
+        present = set(edges) | {(b, a) for a, b in edges}
+        while True:
+            extra = tuple(rng.sample(range(n), 2))
+            if extra not in present:
+                break
+        mutated = rng.sample(edges, len(edges) - 2) + [extra]
+        for pairs in (edges, mutated):
+            g = Graph(labels, [edge(labels[a], labels[b]) for a, b in pairs])
+            verdict = is_planar(g)
+            assert verdict.planar == nx.check_planarity(nx.Graph(g.edges))[0]
+            if verdict.planar:
+                rotation = verdict.certificate.rotation
+                darts = Counter(frozenset((v, w)) for v, ns in rotation.items() for w in ns)
+                assert darts == dict.fromkeys(map(frozenset, g.edges), 2)
 
 
 def test_edge_list_matches_label_interface():
