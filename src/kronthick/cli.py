@@ -171,9 +171,7 @@ def _decompose(family: str, size: int, seed_path: str | None):
 
 def cmd_decompose(args) -> int:
     d = _decompose(args.family, args.size, args.seed)
-    report = verify_decomposition(
-        d.target, d.parts, lower=thickness_lower_bound(d.target)
-    )
+    report = verify_decomposition(d.target, d.parts)
     sys.stdout.write(to_json(decomposition_document(d)))
     if not report.passed:
         print(f"verification failed: {report.summary()}", file=sys.stderr)

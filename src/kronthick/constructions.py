@@ -10,7 +10,12 @@ VertexLabel(Family.X, i, 1).  Each part is built once, as one Graph, from
 index pairs (a, b), each the edge v_a u_b of a bipartite part, placed on
 (family, layer) blocks: K_{4p,4p} keeps the layerless v/u families,
 K_n x K_2 puts v on layer 1 and u on layer 2, and K_{n,n,n} x K_2 copies a
-part three times around the x -> y -> z family cycle.
+part three times around the x -> y -> z family cycle.  Index pairs are the
+only edge currency: every edge of K_{n,n,n} x K_2 joins two families on
+opposite layers, so it lies in exactly one of the six blocks, and the
+edges the tripartite lemmas add or delete are pairs on named blocks.  A
+layer-2 part is its layer-1 partner on swapped blocks, and odd K_n x K_2
+keeps the pairs of n+1 that stay on indices <= n.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ __all__ = [
     "lemma46_assemble",
     "restrict_decomposition",
     "knnn_times_k2_decomposition",
-    "oracle_seed_provider",
 ]
 
 
@@ -144,38 +148,42 @@ _BLOCKS_LAYER2 = (
 )
 _SIX_BLOCKS = _BLOCKS_LAYER1 + _BLOCKS_LAYER2
 
-# _x1(i) is x^1_i, and so on for the six (family, layer) classes.
-_x1, _y1, _z1, _x2, _y2, _z2 = (
-    (lambda i, f=f, k=k: VertexLabel(f, i, k))
-    for k in (1, 2)
-    for f in (Family.X, Family.Y, Family.Z)
-)
+# A layer-2 part is its layer-1 partner with _BLOCKS_LAYER1[k] and
+# _BLOCKS_LAYER2[k] swapped.
+_SWAP = dict(zip(_SIX_BLOCKS, _BLOCKS_LAYER2 + _BLOCKS_LAYER1))
 
 
-def _place(pairs: list, blocks, adds=(), dels=(), vs=(), us=()) -> Graph:
-    """Build one part: the index pairs on every block, edited by label edges.
+def _swapped(edits: dict) -> dict:
+    """The block edits with every block moved to its layer-swap partner."""
+    return {_SWAP[blk]: pairs for blk, pairs in edits.items()}
 
-    The v indices vs and u indices us are placed even if no pair uses
-    them.  Each label is made once per block and shared by its edges.  The
-    label edges dels are removed and then adds are added, endpoints
-    included, before the single Graph is built.
+
+def _place(pairs: list, blocks, adds=None, dels=None, vs=(), us=()) -> Graph:
+    """Build one part: the index pairs on every block, edited per block.
+
+    The v indices vs and u indices us are placed on every block even if no
+    pair uses them.  adds and dels map a block, one of blocks or any other,
+    to index pairs: on that block the pairs dels are removed and then adds
+    are added, endpoints included.  Each label is made once per block and
+    shared by its edges, and the single Graph is built last.
     """
+    adds, dels = adds or {}, dels or {}
     vs = {a for a, _ in pairs}.union(vs)
     us = {b for _, b in pairs}.union(us)
     verts: list = []
     edges: list = []
-    for (fv, lv), (fu, lu) in blocks:
-        vl = {a: VertexLabel(fv, a, lv) for a in vs}
-        ul = {b: VertexLabel(fu, b, lu) for b in us}
+    for blk in set(blocks).union(adds):
+        own = blk in blocks
+        doomed = dels.get(blk, ())
+        ps = [e for e in pairs if own and e not in doomed] + adds.get(blk, [])
+        (fv, lv), (fu, lu) = blk
+        bvs = {a for a, _ in ps}.union(vs if own else ())
+        bus = {b for _, b in ps}.union(us if own else ())
+        vl = {a: VertexLabel(fv, a, lv) for a in bvs}
+        ul = {b: VertexLabel(fu, b, lu) for b in bus}
         verts += vl.values()
         verts += ul.values()
-        edges += [(vl[a], ul[b]) for a, b in pairs]
-    if dels:
-        doomed = {edge(a, b) for a, b in dels}
-        edges = [e for e in edges if edge(*e) not in doomed]
-    for a, b in adds:
-        verts += (a, b)
-        edges.append((a, b))
+        edges += [(vl[a], ul[b]) for a, b in ps]
     return Graph(verts, edges)
 
 
@@ -270,19 +278,20 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
     Even n: the block parts of the K_{4p,4p} decomposition with v on layer
     1 and u on layer 2 (the matching part is exactly the edge set missing
     from the crown graph, so it is dropped), plus one extension part when
-    n = 4p+2.  Odd n: build n+1 and restrict to the first n indices; the
-    part count is unchanged because ceil(n/4) = ceil((n+1)/4) for odd n.
+    n = 4p+2.  Odd n: the index pairs of n+1, keeping the pairs on indices
+    <= n; the part count is unchanged because ceil(n/4) = ceil((n+1)/4)
+    for odd n.
     """
     if n < 2:
         raise InvalidSizeError(f"kn_times_k2_decomposition needs n >= 2, got {n}")
-    if n % 2 == 1:
-        bigger = kn_times_k2_decomposition(n + 1)
-        d = restrict_decomposition(bigger, lambda v: v.index <= n)
-        return replace(d, provenance=THM_3_3)
-    p, rem = divmod(n, 4)
-    parts = [_place(_chen_yin_part_edges(p, r), _CROWN) for r in range(1, p + 1)]
+    p, rem = divmod(n + n % 2, 4)
+    main = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
     if rem == 2:
-        parts.append(_place(_g_prime_edges(p), _CROWN))
+        main.append(_g_prime_edges(p))
+    parts = [
+        _place([(a, b) for a, b in pairs if a <= n and b <= n], _CROWN)
+        for pairs in main
+    ]
     target = times_k2(make_complete(n))
     return Decomposition(
         target=target,
@@ -325,78 +334,54 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
 # K_{n,n,n} x K_2, n = 4p+1
 # ============================================================
 
-def _n1_wrap(p: int, j: int) -> int:
-    """Old-index arithmetic mod 4p, staying in 1..4p."""
-    return (j - 1) % (4 * p) + 1
 
-
-def _n1_part_adjustments(p: int, r: int):
-    """(adds1, dels1, adds2, dels2) for the r-th main parts at n = 4p+1.
+def _n1_part_adjustments(p: int, r: int) -> tuple[dict, dict]:
+    """(adds, dels) block edits of the r-th layer-1 main part at n = 4p+1.
 
     adds are hub spokes from the six new vertices plus the four per-block
     matching edges the final part cannot absorb; dels are the two block
     edges whose removal frees the faces the new spokes pass through.  Each
     hub star sits next to its mirror image, which keeps every part planar.
+    The layer-2 partner takes the same edits on swapped blocks.
     """
     nn = 4 * p + 1
     i1, i2, i3, i4 = _block(r)
-    adds1 = [
-        (_x1(nn), _y2(i1)), (_x1(nn), _y2(i4)),
-        (_y2(nn), _x1(i3)), (_y2(nn), _x1(_n1_wrap(p, 4 * r + 2))),
-        (_y1(nn), _z2(i2)), (_y1(nn), _z2(i3)),
-        (_z2(nn), _y1(i2)), (_z2(nn), _y1(i3)),
-        (_z1(nn), _x2(i1)), (_z1(nn), _x2(i4)),
-        (_x2(nn), _z1(i1)), (_x2(nn), _z1(i4)),
-        (_z1(i4), _x2(i4)),
-        (_y1(i3), _z2(i3)),
-        (_z1(i2), _y2(i2)),
-        (_x1(i1), _z2(i1)),
-    ]
-    dels1 = [(_y1(i1), _z2(i4)), (_z1(i2), _x2(i3))]
-
-    def swap(v: VertexLabel) -> VertexLabel:
-        return VertexLabel(v.family, v.index, 3 - v.layer)
-
-    adds2 = [(swap(a), swap(b)) for a, b in adds1]
-    dels2 = [(swap(a), swap(b)) for a, b in dels1]
-    return adds1, dels1, adds2, dels2
+    nxt = i4 % (4 * p) + 2  # 4r+2 of the next block, cyclically
+    xy1, yz1, zx1 = _BLOCKS_LAYER1
+    _, yz2, zx2 = _BLOCKS_LAYER2
+    adds = {
+        xy1: [(nn, i1), (nn, i4), (i3, nn), (nxt, nn)],
+        yz1: [(nn, i2), (nn, i3), (i2, nn), (i3, nn), (i3, i3)],
+        zx1: [(nn, i1), (nn, i4), (i1, nn), (i4, nn), (i4, i4)],
+        yz2: [(i2, i2)],
+        zx2: [(i1, i1)],
+    }
+    dels = {yz1: [(i1, i4)], zx1: [(i2, i3)]}
+    return adds, dels
 
 
-def _n1_final_part_edges(p: int) -> list[tuple]:
-    """Edges of the last part for n = 4p+1 besides the new-index 6-cycle.
+def _n1_final_part_pairs(p: int) -> list[list[tuple[int, int]]]:
+    """Index pairs of the last part for n = 4p+1, one list per family pair.
 
-    Index classes: i = 4r-3, 4r take the y/z hub spokes while i = 4r-2,
-    4r-1 take the x hub spokes, complementing what the main parts
-    absorbed; the x-y matchings and the 6-cycle on the new index close
-    the remaining gaps, and the four edges deleted from each main part
-    pair reappear here.
+    List k (x-y, y-z, z-x) is placed on both _BLOCKS_LAYER1[k] and
+    _BLOCKS_LAYER2[k], and each holds the new index's pair (n, n), so the
+    part contains the new-index 6-cycle.  Index classes: i = 4r-3, 4r take
+    the y/z hub spokes while i = 4r-2, 4r-1 take the x hub spokes,
+    complementing what the main parts absorbed; the x-y matchings close the
+    remaining gaps, and the four edges deleted from each main part pair
+    reappear here.
     """
     nn = 4 * p + 1
-    es: list[tuple] = []
-    for i in range(1, 4 * p + 1):
-        if i % 4 in (2, 3):
-            es += [
-                (_x1(nn), _y2(i)), (_x2(nn), _y1(i)),
-                (_z1(nn), _x2(i)), (_z2(nn), _x1(i)),
-                (_x1(nn), _z2(i)), (_x2(nn), _z1(i)),
-                (_x1(i), _z2(i)), (_x2(i), _z1(i)),
-            ]
-        else:
-            es += [
-                (_y1(nn), _z2(i)), (_y2(nn), _z1(i)),
-                (_z1(nn), _y2(i)), (_z2(nn), _y1(i)),
-                (_y1(nn), _x2(i)), (_y2(nn), _x1(i)),
-                (_y1(i), _z2(i)), (_y2(i), _z1(i)),
-            ]
-        es.append((_x1(i), _y2(i)))
-        es.append((_x2(i), _y1(i)))
+    xy, yz, zx = ([(nn, nn)] for _ in range(3))
+    for i in range(1, nn):
+        x_hub = i % 4 in (2, 3)
+        (zx if x_hub else yz).extend([(nn, i), (i, nn), (i, i)])
+        xy += [(nn, i) if x_hub else (i, nn), (i, i)]
     for r in range(1, p + 1):
         i1, i2, i3, i4 = _block(r)
-        es += [
-            (_y1(i1), _z2(i4)), (_y2(i1), _z1(i4)),
-            (_z1(i2), _x2(i3)), (_z2(i2), _x1(i3)),
-        ]
-    return es
+        yz.append((i1, i4))
+        zx.append((i2, i3))
+    return [xy, yz, zx]
 
 
 def knnn_times_k2_n1mod4(p: int) -> Decomposition:
@@ -412,15 +397,12 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
             "n = 1 and n = 5 are served by fixtures"
         )
     n = 4 * p + 1
-    parts: list[Graph] = []
-    swapped: list[Graph] = []
-    for r in range(1, p + 1):
-        pairs = _chen_yin_part_edges(p, r)
-        adds1, dels1, adds2, dels2 = _n1_part_adjustments(p, r)
-        parts.append(_place(pairs, _BLOCKS_LAYER1, adds1, dels1))
-        swapped.append(_place(pairs, _BLOCKS_LAYER2, adds2, dels2))
-    parts += swapped
-    parts.append(_place([(n, n)], _SIX_BLOCKS, _n1_final_part_edges(p)))
+    main = [(_chen_yin_part_edges(p, r), *_n1_part_adjustments(p, r))
+            for r in range(1, p + 1)]
+    parts = [_place(pairs, _BLOCKS_LAYER1, adds, dels) for pairs, adds, dels in main]
+    parts += [_place(pairs, _BLOCKS_LAYER2, _swapped(adds), _swapped(dels))
+              for pairs, adds, dels in main]
+    parts.append(_place([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))))
     target = times_k2(make_complete_tripartite(n, n, n))
     return Decomposition(
         target=target,
@@ -545,17 +527,19 @@ def lemma46_assemble(p: int, seed: MinimalBipartiteDecomposition) -> Decompositi
     validate_seed(seed)
     m = 4 * p + 3
     a, b = _seed_single_edge_indices(seed)
-    # The six copies of the dropped single edge, each sent to the group
-    # whose copies do NOT already contain its endpoints' blocks.
-    relocated1 = ([(_x2(a), _y1(b)), (_z2(a), _x1(b))], [(_y2(a), _z1(b))])
-    relocated2 = ([(_x1(a), _y2(b)), (_z1(a), _x2(b))], [(_y1(a), _z2(b))])
+    # The six copies of the dropped single edge v_a u_b: the pair (a, b)
+    # on the blocks of the other layer group, whose copies do NOT already
+    # contain its endpoints' blocks.
+    single = [(a, b)]
+    xy2, yz2, zx2 = _BLOCKS_LAYER2
+    relocated = ({xy2: single, zx2: single}, {yz2: single})
     h1: list[Graph] = []
     h2: list[Graph] = []
     for k, part in enumerate(seed.parts[:-1]):
         pairs, vs, us = _seed_part_pairs(part)
-        adds1, adds2 = (relocated1[k], relocated2[k]) if k < 2 else ((), ())
-        h1.append(_place(pairs, _BLOCKS_LAYER1, adds1, vs=vs, us=us))
-        h2.append(_place(pairs, _BLOCKS_LAYER2, adds2, vs=vs, us=us))
+        adds = relocated[k] if k < 2 else {}
+        h1.append(_place(pairs, _BLOCKS_LAYER1, adds, vs=vs, us=us))
+        h2.append(_place(pairs, _BLOCKS_LAYER2, _swapped(adds), vs=vs, us=us))
     for label, g in (("first", h1[0]), ("second", h1[1]),
                      ("first", h2[0]), ("second", h2[1])):
         if not is_planar(g).planar:
@@ -639,31 +623,3 @@ def knnn_times_k2_decomposition(n: int, seed_provider=None) -> Decomposition:
     bigger = knnn_times_k2_decomposition(n + 1, seed_provider)
     return restrict_decomposition(bigger, lambda v: v.index <= n)
 
-
-def oracle_seed_provider(budget=None):
-    """Seed provider that searches for the K_{4p+3,4p+3} decomposition.
-
-    Exhaustive search is only realistic for p = 1 (K_{7,7}); larger p
-    will exhaust any budget and raise SeedRequiredError.
-    """
-
-    def provider(p: int) -> MinimalBipartiteDecomposition:
-        from .oracle import find_planar_partition
-
-        m = 4 * p + 3
-        g = make_complete_bipartite(m, m)
-        forced = edge(VertexLabel(Family.V, m), VertexLabel(Family.U, m))
-        result = find_planar_partition(g, p + 2, budget=budget, force_single_edge=forced)
-        if result.found is None:
-            raise SeedRequiredError(
-                f"no seed for K_{{{m},{m}}} found within budget "
-                f"(exhausted={result.exhausted}, nodes={result.nodes})"
-            )
-        parts = result.found.parts
-        if len(parts) != p + 2:
-            raise SeedInvalidError(
-                f"search returned {len(parts)} parts, seed needs {p + 2}"
-            )
-        return MinimalBipartiteDecomposition(p=p, parts=parts, single_edge=forced)
-
-    return provider

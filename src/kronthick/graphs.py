@@ -201,14 +201,14 @@ def _range_labels(family: Family, count: int, layer: int | None = None) -> list[
 def make_complete(n: int) -> Graph:
     """Complete graph K_n on Plain-family vertices 1..n."""
     vs = _range_labels(Family.PLAIN, n)
-    return Graph(vs, (edge(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)))
+    return Graph(vs, ((vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)))
 
 
 def make_complete_bipartite(m: int, n: int) -> Graph:
     """Complete bipartite K_{m,n}; part U has size m, part V size n."""
     us = _range_labels(Family.U, m)
     vs = _range_labels(Family.V, n)
-    return Graph(us + vs, (edge(u, v) for u in us for v in vs))
+    return Graph(us + vs, ((u, v) for u in us for v in vs))
 
 
 def make_complete_tripartite(l: int, m: int, n: int) -> Graph:
@@ -216,16 +216,16 @@ def make_complete_tripartite(l: int, m: int, n: int) -> Graph:
     xs = _range_labels(Family.X, l)
     ys = _range_labels(Family.Y, m)
     zs = _range_labels(Family.Z, n)
-    edges = [edge(a, b) for a in xs for b in ys]
-    edges += [edge(a, b) for a in xs for b in zs]
-    edges += [edge(a, b) for a in ys for b in zs]
+    edges = [(a, b) for a in xs for b in ys]
+    edges += [(a, b) for a in xs for b in zs]
+    edges += [(a, b) for a in ys for b in zs]
     return Graph(xs + ys + zs, edges)
 
 
 def make_path(n: int) -> Graph:
     """Path on n Plain-family vertices (n-1 edges)."""
     vs = _range_labels(Family.PLAIN, n)
-    return Graph(vs, (edge(vs[i], vs[i + 1]) for i in range(n - 1)))
+    return Graph(vs, ((vs[i], vs[i + 1]) for i in range(n - 1)))
 
 
 def make_cycle(n: int) -> Graph:
@@ -233,7 +233,7 @@ def make_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidSizeError(f"cycle needs >= 3 vertices, got {n}")
     vs = _range_labels(Family.PLAIN, n)
-    return Graph(vs, [edge(vs[i], vs[(i + 1) % n]) for i in range(n)])
+    return Graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
 # ============================================================

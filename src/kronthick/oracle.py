@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .bounds import ORACLE, thickness_lower_bound
+from .constructions import Decomposition
 from .errors import PreconditionError, StructuralViolationError
 from .graphs import Graph, edge, is_triangle_free
 from .planarity import euler_max_edges, is_planar, is_planar_edge_list
@@ -114,8 +115,6 @@ def find_planar_partition(
     k-1 parts cover everything else).  Found witnesses are re-verified before
     being returned.
     """
-    from .constructions import Decomposition  # deferred; avoids an import cycle
-
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     budget = budget or SearchBudget()
@@ -178,8 +177,6 @@ def exact_thickness(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.wall_limit
-
-    from .constructions import Decomposition  # deferred; avoids an import cycle
 
     if is_planar(g).planar:
         witness = Decomposition(

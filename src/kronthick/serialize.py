@@ -12,13 +12,12 @@ import json
 
 from .bounds import BoundReport
 from .constructions import Decomposition, MinimalBipartiteDecomposition
-from .errors import DocumentFormatError, SeedInvalidError
+from .errors import DocumentFormatError, PreconditionError, SeedInvalidError
 from .graphs import (
     Family,
     Graph,
     ProductVertex,
     VertexLabel,
-    edge,
     make_complete_bipartite,
 )
 from .verification import VerificationReport
@@ -99,8 +98,7 @@ def _graph_from_object(obj) -> Graph:
         if v.name in by_name:
             raise DocumentFormatError(f"duplicate vertex {v.name}")
         by_name[v.name] = v
-    edges = []
-    seen = set()
+    pairs = []
     for entry in obj["edges"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentFormatError(f"edge entry must be a [ref, ref] pair: {entry!r}")
@@ -109,15 +107,14 @@ def _graph_from_object(obj) -> Graph:
             raise DocumentFormatError(f"edge references must be vertex names: {entry!r}")
         if ra not in by_name or rb not in by_name:
             raise DocumentFormatError(f"edge references unknown vertex: {entry!r}")
-        try:
-            e = edge(by_name[ra], by_name[rb])
-        except Exception as exc:
-            raise DocumentFormatError(f"bad edge {entry!r}: {exc}") from exc
-        if e in seen:
-            raise DocumentFormatError(f"duplicate edge {entry!r}")
-        seen.add(e)
-        edges.append(e)
-    return Graph(vertices, edges)
+        pairs.append((by_name[ra], by_name[rb]))
+    try:
+        g = Graph(vertices, pairs)
+    except PreconditionError as exc:
+        raise DocumentFormatError(f"bad edge: {exc}") from exc
+    if g.num_edges != len(pairs):
+        raise DocumentFormatError("an edge is listed twice")
+    return g
 
 
 def graph_from_document(doc) -> Graph:

@@ -185,6 +185,7 @@ def test_isolated_seed_vertex_is_placed_on_its_copies():
     "build,n,built",
     [
         (kn_times_k2_decomposition, 16, 7),
+        (kn_times_k2_decomposition, 15, 7),
         (knnn_times_k2_decomposition, 8, 8),
         (knnn_times_k2_decomposition, 9, 8),
     ],
@@ -315,6 +316,38 @@ def test_seed_with_wrong_shape_rejected():
     broken = replace(seed, parts=seed.parts[:-1], single_edge=seed.single_edge)
     with pytest.raises(SeedInvalidError):
         validate_seed(broken)
+
+
+# ============================================================
+# Layer symmetry of the tripartite constructions
+# ============================================================
+
+
+def _layer_swap(g: Graph) -> Graph:
+    swap = {v: VertexLabel(v.family, v.index, 3 - v.layer) for v in g.vertices}
+    return Graph(swap.values(), [(swap[a], swap[b]) for a, b in g.edges])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: knnn_times_k2_n0mod4(1),
+        lambda: knnn_times_k2_n0mod4(2),
+        lambda: knnn_times_k2_n1mod4(2),
+        lambda: knnn_times_k2_n1mod4(3),
+        lambda: lemma46_assemble(1, bundled_seed()),
+    ],
+    ids=["n0mod4-p1", "n0mod4-p2", "n1mod4-p2", "n1mod4-p3", "lemma46-seed"],
+)
+def test_layer2_parts_are_layer_swaps_of_layer1(build):
+    d = build()
+    half = d.num_parts // 2
+    for g, h in zip(d.parts[:half], d.parts[half:2 * half]):
+        assert g != h
+        assert _layer_swap(g) == h
+    # The n = 4p and 4p+1 constructions end in one swap-invariant part.
+    for g in d.parts[2 * half:]:
+        assert _layer_swap(g) == g
 
 
 # ============================================================

@@ -1,0 +1,82 @@
+"""Every import in the package is used and every private name is referenced.
+
+Checked per module of src/kronthick with the standard library's ast, so a
+refactor cannot leave an orphaned import or a dead private helper behind.
+__init__.py is exempt: it imports in order to re-export.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kronthick"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+
+
+def _read_names(tree) -> set[str]:
+    """Names the module reads, plus the strings listed in its __all__."""
+    names = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, (alias.asname or alias.name).split(".")[0]
+
+
+def _private_top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            lhs = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [
+                n.id for t in lhs for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = _read_names(tree)
+    unused = [f"{module}:{line} {name}" for line, name in _imported_names(tree)
+              if name not in used]
+    assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_name_is_referenced(module):
+    referenced: set[str] = set()
+    for tree in TREES.values():
+        referenced |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = [f"{module}:{line} {name}"
+            for line, name in _private_top_level_names(TREES[module])
+            if name not in referenced]
+    assert dead == []
