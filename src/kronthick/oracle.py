@@ -1,13 +1,17 @@
 """Exhaustive exact-thickness search for small graphs.
 
 Edges are assigned to parts in a fixed order, depth-first, by a loop over a
-stack of part choices (no recursion, so long edge lists are fine), with three
-prunes: each part must stay planar (full re-test on every assignment), each
-part must stay under the Euler edge capacity, and part indices appear in
-first-use order so permuting part names never revisits the same split.  The
-counting prune (k parts hold at most k * capacity edges) runs once.  Budgets
-cap both search nodes and wall time; running out of budget is reported
-distinctly from a proven "no partition exists".
+stack of part choices (no recursion, so long edge lists are fine).  A part
+takes an edge only if it stays under the Euler edge capacity and stays
+planar; the LR test runs only when the edge closes a cycle in the part, as
+tracked by a per-part union-find undone on backtrack.  When the parts must
+be filled to capacity exactly, a per-vertex degree slack cuts every branch
+in which some part can no longer reach the minimum degree of a maximal
+planar graph.  Part indices appear in first-use order so permuting part
+names never revisits the same split.  The counting prune (k parts hold at
+most k * capacity edges) runs once.  Budgets cap both search nodes and wall
+time; running out of budget is reported distinctly from a proven "no
+partition exists".
 """
 
 from __future__ import annotations
@@ -55,19 +59,56 @@ class OracleResult:
     witness: object | None
 
 
-def _search_partition(n, int_edges, k, cap, deadline, node_limit):
+def _root(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
+def _search_partition(n, int_edges, k, triangle_free, deadline, node_limit):
     """Depth-first search over edge-to-part assignments on integer vertex ids.
 
     A loop over the stack of part choices, one per placed edge.  Returns
     (parts or None, exhausted, nodes).  parts is a list of edge lists.
+
+    A part may take the next edge if it stays under the Euler capacity cap,
+    no vertex's slack (below) goes negative, and it stays planar.  The LR
+    test runs only when the edge closes a cycle in the part: an edge that
+    joins two components of a planar graph keeps it planar.  Each part's
+    components are a union-find (union by size, no path compression), so
+    the union made by an edge is undone when the edge is taken back.
+
+    Zero-slack degree prune.  When k * cap == m, every part of a solution
+    holds exactly cap edges.  For n >= 4 such a part has minimum degree at
+    least delta = 3, or delta = 2 when g is triangle-free (cap = 2n - 4):
+    deleting a vertex of degree d < delta leaves cap - d edges on n - 1 >= 3
+    vertices, which is over the Euler bound for n - 1.  So slack[v], the
+    unplaced edges at v minus the sum over all k parts (unopened ones too)
+    of max(0, delta - deg_p(v)), is 0 at every solution.  Placing an edge
+    never raises it, so a choice that drives it below 0 leads to no
+    solution.  Below 4 vertices, or when k * cap > m, delta = 0 and the
+    prune never fires.  Both shortcuts only skip dead choices and certain
+    answers, so the DFS order and the first witness are unchanged.
     """
     m = len(int_edges)
+    cap = euler_max_edges(n, triangle_free)
     # Counting prune: at node i the free capacity k*cap - i must hold the
     # m - i edges left, which is the same test at every node.
     if m and k * cap < m:
         return None, True, 1
+    delta = (2 if triangle_free else 3) if n >= 4 and k * cap == m else 0
+    slack = [-k * delta] * n
+    for a, b in int_edges:
+        slack[a] += 1
+        slack[b] += 1
+    if min(slack, default=0) < 0:
+        return None, True, 1
     parts: list[list[tuple[int, int]]] = []
+    # tables[p] = (degree, union-find parent, component size) of part p; a
+    # closed part's table is back to its initial state and is reused
+    tables: list[tuple[list[int], list[int], list[int]]] = []
     placed: list[int] = []  # placed[i] = index of the part holding edge i
+    hung: list[int] = []  # hung[i] = root edge i linked below another, or -1
     nodes = 0
     p = None  # next part to try for edge len(placed); None at a new node
     while True:
@@ -79,12 +120,18 @@ def _search_partition(n, int_edges, k, cap, deadline, node_limit):
             if i == m:
                 return parts, False, nodes
             p = 0
-        e = int_edges[i]
+        e = a, b = int_edges[i]
         while p < len(parts):
             pe = parts[p]
-            if len(pe) < cap:
+            deg, parent, size = tables[p]
+            if (
+                len(pe) < cap
+                and (deg[a] < delta or slack[a] > 0)
+                and (deg[b] < delta or slack[b] > 0)
+            ):
+                ra, rb = _root(parent, a), _root(parent, b)
                 pe.append(e)
-                if is_planar_edge_list(n, pe):
+                if ra != rb or is_planar_edge_list(n, pe):
                     break
                 pe.pop()
             p += 1
@@ -93,12 +140,39 @@ def _search_partition(n, int_edges, k, cap, deadline, node_limit):
                 if not placed:
                     return None, True, nodes
                 p = placed.pop()
-                parts[p].pop()
+                a, b = parts[p].pop()
+                deg, parent, size = tables[p]
+                deg[a] -= 1
+                deg[b] -= 1
+                slack[a] += deg[a] >= delta
+                slack[b] += deg[b] >= delta
+                r = hung.pop()
+                if r >= 0:
+                    size[parent[r]] -= size[r]
+                    parent[r] = r
                 if not parts[p]:
                     parts.pop()  # edge i-1 had opened this part
                 p += 1
                 continue
+            if p == len(tables):
+                tables.append(([0] * n, list(range(n)), [1] * n))
             parts.append([e])
+            deg, parent, size = tables[p]
+            ra, rb = a, b
+        # the edge leaves the unplaced count of each end, and fills that
+        # end's deficit in part p only while its degree there is below delta
+        slack[a] -= deg[a] >= delta
+        slack[b] -= deg[b] >= delta
+        deg[a] += 1
+        deg[b] += 1
+        if ra == rb:
+            hung.append(-1)
+        else:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+            hung.append(rb)
         placed.append(p)
         p = None
 
@@ -139,9 +213,8 @@ def find_planar_partition(
         ((index[a], index[b]) for a, b in search_edges),
         key=lambda e: (max(e), min(e)),
     )
-    cap = euler_max_edges(g.num_vertices, is_triangle_free(g))
     parts, exhausted, nodes = _search_partition(
-        g.num_vertices, int_edges, inner_k, cap, deadline, budget.max_nodes
+        g.num_vertices, int_edges, inner_k, is_triangle_free(g), deadline, budget.max_nodes
     )
     if parts is None:
         return PartitionSearchResult(found=None, exhausted=exhausted, nodes=nodes)
