@@ -21,7 +21,6 @@ from kronthick import (
     Decomposition,
     Family,
     Graph,
-    MinimalBipartiteDecomposition,
     VertexLabel,
     edge,
     make_complete_bipartite,
@@ -111,6 +110,18 @@ def _to_graph(int_edges):
     return Graph(vs, es)
 
 
+def seed_json(parts) -> str:
+    """Validate the K_{7,7} seed with these parts; return its document text."""
+    d = Decomposition(
+        target=make_complete_bipartite(M, M),
+        parts=parts,
+        guarantee=UPPER_BOUND_ONLY,
+        provenance=ORACLE,
+    )
+    validate_seed(d)
+    return to_json(decomposition_document(d))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--oracle", action="store_true",
@@ -133,20 +144,12 @@ def main() -> int:
         print("no seed found")
         return 1
 
-    single_edge = parts[-1].edges[0]
-    seed = MinimalBipartiteDecomposition(p=1, parts=parts, single_edge=single_edge)
-    validate_seed(seed)
+    text = seed_json(parts)
+    (u, v), = parts[-1].edges
     print(f"seed validated: sizes={[g.num_edges for g in parts]} "
-          f"single={single_edge[0].name}-{single_edge[1].name}")
-
-    d = Decomposition(
-        target=make_complete_bipartite(M, M),
-        parts=parts,
-        guarantee=UPPER_BOUND_ONLY,
-        provenance=ORACLE,
-    )
+          f"single={u.name}-{v.name}")
     out = Path(__file__).resolve().parent.parent / "src" / "kronthick" / "data" / "seed_k7_7.json"
-    out.write_text(to_json(decomposition_document(d)))
+    out.write_text(text)
     print(f"wrote {out}")
     return 0
 

@@ -223,20 +223,15 @@ def cmd_bounds(args) -> int:
 
 def _table_row(family: str, n: int, seed_path: str | None):
     """(lower, parts, upper, optimal) for one table row; raises on unsupported."""
+    d = _decompose(family, n, seed_path)
     if family == "kn_x_k2":
-        d = _decompose(family, n, seed_path)
         lower = product_lower_bound(make_complete(n), make_complete(2))
         upper = theta_kn_times_k2(n)
     elif family == "knn":
-        d = _decompose(family, n, seed_path)
         lower = theta_knn(4 * n)
         upper = n + 1
-    elif family == "knnn_x_k2":
-        d = _decompose(family, n, seed_path)
-        lower = theta_knnn_times_k2(n)
-        upper = theta_knnn_times_k2(n)
-    else:
-        raise PreconditionError(f"unknown table family {family!r}")
+    else:  # knnn_x_k2: _decompose rejects every other family
+        lower = upper = theta_knnn_times_k2(n)
     report = verify_decomposition(d.target, d.parts, lower=lower)
     optimal = report.passed and len(d.parts) == lower
     return lower, len(d.parts), upper, "yes" if optimal else "no"

@@ -43,7 +43,6 @@ from .graphs import (
     Family,
     Graph,
     VertexLabel,
-    edge,
     induced_subgraph,
     make_complete,
     make_complete_bipartite,
@@ -59,7 +58,6 @@ from .verification import (
 
 __all__ = [
     "Decomposition",
-    "MinimalBipartiteDecomposition",
     "chen_yin_k4p4p",
     "kn_times_k2_decomposition",
     "knnn_times_k2_n0mod4",
@@ -98,28 +96,6 @@ class Decomposition:
     @property
     def num_parts(self) -> int:
         return len(self.parts)
-
-
-@dataclass(frozen=True)
-class MinimalBipartiteDecomposition:
-    """A (p+2)-part planar decomposition of K_{4p+3,4p+3} ending in one edge.
-
-    The single-edge last part is what makes the tripartite assembly work:
-    that edge's six product copies are the only ones that need relocating.
-    """
-
-    p: int
-    parts: tuple[Graph, ...]
-    single_edge: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if self.p < 1:
-            raise InvalidSizeError(f"seed needs p >= 1, got {self.p}")
-
-    @property
-    def side_size(self) -> int:
-        return 4 * self.p + 3
 
 
 # ============================================================
@@ -458,35 +434,24 @@ def knnn_times_k2_fixture(n: int) -> Decomposition:
 # ============================================================
 
 
-def _seed_single_edge_indices(seed: MinimalBipartiteDecomposition) -> tuple[int, int]:
-    """(a, b) with the seed's single edge equal to v_a u_b."""
-    a = b = None
-    for end in seed.single_edge:
-        if end.family is Family.V:
-            a = end.index
-        elif end.family is Family.U:
-            b = end.index
-    if a is None or b is None:
-        raise SeedInvalidError("seed single edge must join a v-vertex to a u-vertex")
-    return a, b
+def validate_seed(seed: Decomposition) -> int:
+    """Check a seed and return its p; raises SeedInvalidError on any defect.
 
-
-def validate_seed(seed: MinimalBipartiteDecomposition) -> None:
-    """Check a seed end to end; raises SeedInvalidError on any defect."""
-    if not isinstance(seed, MinimalBipartiteDecomposition):
-        raise SeedInvalidError(f"not a seed object: {seed!r}")
-    m = seed.side_size
-    if len(seed.parts) != seed.p + 2:
+    A seed is a planar decomposition of K_{m,m}, m = 4p+3 and p >= 1, into
+    p+2 parts whose last part is a single edge.
+    """
+    m = seed.target.num_vertices // 2
+    p, rem = divmod(m - 3, 4)
+    if rem or p < 1 or seed.target != make_complete_bipartite(m, m):
+        raise SeedInvalidError("seed target must be K_{m,m} with m = 4p+3, p >= 1")
+    if len(seed.parts) != p + 2 or seed.parts[-1].num_edges != 1:
         raise SeedInvalidError(
-            f"seed for K_{{{m},{m}}} must have {seed.p + 2} parts, got {len(seed.parts)}"
+            f"seed for K_{{{m},{m}}} must have {p + 2} parts, the last a single edge"
         )
-    last = seed.parts[-1]
-    if last.num_edges != 1 or last.edges[0] != edge(*seed.single_edge):
-        raise SeedInvalidError("seed's last part must be exactly its declared single edge")
-    _seed_single_edge_indices(seed)
-    report = verify_decomposition(make_complete_bipartite(m, m), seed.parts)
+    report = verify_decomposition(seed.target, seed.parts)
     if not report.passed:
         raise SeedInvalidError(f"seed fails verification: {report.summary()}")
+    return p
 
 
 def _seed_part_pairs(part: Graph):
@@ -508,29 +473,26 @@ def _seed_part_pairs(part: Graph):
     return [(v.index, u.index) for u, v in part.edges], vs, us
 
 
-def lemma46_assemble(p: int, seed: MinimalBipartiteDecomposition) -> Decomposition:
+def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     """Decompose K_{4p+3,4p+3,4p+3} x K_2 into 2p+2 parts from a seed.
 
-    Each seed part is copied three times around the family cycle in both
-    layer orientations.  The six product copies of the seed's single edge
-    v_a u_b are not given parts of their own: each is re-homed onto a part
-    of the opposite layer group, where its endpoints land in two different
-    vertex-disjoint copies, so the receiving part stays planar no matter
-    what the seed looks like.
+    The seed is a Decomposition of K_{4p+3,4p+3} that validate_seed
+    accepts with this p.  Each seed part is copied three times around the
+    family cycle in both layer orientations.  The six product copies of
+    the seed's single edge v_a u_b are not given parts of their own: each
+    is re-homed onto a part of the opposite layer group, where its
+    endpoints land in two different vertex-disjoint copies, so the
+    receiving part stays planar no matter what the seed looks like.
     """
-    if p < 1:
-        raise InvalidSizeError(f"lemma46_assemble needs p >= 1, got {p}")
-    if not isinstance(seed, MinimalBipartiteDecomposition):
-        raise SeedInvalidError(f"not a seed object: {seed!r}")
-    if seed.p != p:
-        raise SeedInvalidError(f"seed is for p = {seed.p}, assembly wants p = {p}")
-    validate_seed(seed)
+    seed_p = validate_seed(seed)
+    if seed_p != p:
+        raise SeedInvalidError(f"seed is for p = {seed_p}, assembly wants p = {p}")
     m = 4 * p + 3
-    a, b = _seed_single_edge_indices(seed)
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
     # on the blocks of the other layer group, whose copies do NOT already
-    # contain its endpoints' blocks.
-    single = [(a, b)]
+    # contain its endpoints' blocks.  A verified seed's edges run u -> v.
+    (u_b, v_a), = seed.parts[-1].edges
+    single = [(v_a.index, u_b.index)]
     xy2, yz2, zx2 = _BLOCKS_LAYER2
     relocated = ({xy2: single, zx2: single}, {yz2: single})
     h1: list[Graph] = []

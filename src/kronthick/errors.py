@@ -39,9 +39,5 @@ class FixtureIntegrityError(KronthickError):
     """A checked-in fixture failed verification at load time."""
 
 
-class VerificationFailedError(KronthickError):
-    """An operation required a verified decomposition but verification failed."""
-
-
 class DocumentFormatError(KronthickError):
     """A JSON document did not match the expected schema."""

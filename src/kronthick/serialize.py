@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .bounds import BoundReport
-from .constructions import Decomposition, MinimalBipartiteDecomposition
+from .constructions import Decomposition
 from .errors import DocumentFormatError, PreconditionError, SeedInvalidError
 from .graphs import (
     Family,
@@ -212,29 +212,20 @@ def bound_report_document(rep: BoundReport) -> dict:
 # ============================================================
 
 
-def seed_from_document(doc) -> MinimalBipartiteDecomposition:
-    """Read a seed (a decomposition of K_{4p+3,4p+3}) from a document.
+def seed_from_document(doc) -> Decomposition:
+    """Read a seed, a Decomposition of K_{4p+3,4p+3}, from a document.
 
-    Shape checks only; the full planarity/coverage validation happens in
-    the assembly step, so a bad seed file still fails loudly.
+    Only the target is checked here; constructions.validate_seed checks
+    p, the parts and their planarity when the seed is assembled.
     """
     d = decomposition_from_document(doc)
-    m2 = d.target.num_vertices
-    m = m2 // 2
-    if m2 == 0 or m2 % 2 != 0 or d.target != make_complete_bipartite(m, m):
-        raise SeedInvalidError("seed target must be K_{m,m} on u/v vertices")
-    if m % 4 != 3:
-        raise SeedInvalidError(f"seed side size must be 4p+3, got {m}")
-    if not d.parts or d.parts[-1].num_edges != 1:
-        raise SeedInvalidError("seed's last part must be a single edge")
-    return MinimalBipartiteDecomposition(
-        p=(m - 3) // 4,
-        parts=d.parts,
-        single_edge=d.parts[-1].edges[0],
-    )
+    m, odd = divmod(d.target.num_vertices, 2)
+    if odd or m % 4 != 3 or d.target != make_complete_bipartite(m, m):
+        raise SeedInvalidError("seed target must be K_{m,m} with m = 4p+3")
+    return d
 
 
-def load_seed_file(path) -> MinimalBipartiteDecomposition:
+def load_seed_file(path) -> Decomposition:
     return seed_from_document(load_json(path))
 
 

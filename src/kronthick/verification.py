@@ -8,9 +8,8 @@ vertices they do not touch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import VerificationFailedError
 from .graphs import Graph
 from .planarity import is_planar
 
@@ -76,19 +75,3 @@ def verify_decomposition(
         passed=passed,
         optimality=optimality,
     )
-
-
-def certify_optimal(d, lower: int):
-    """Re-verify d and stamp its guarantee against the supplied lower bound.
-
-    Returns a copy of d whose guarantee is OPTIMAL when the part count equals
-    lower, UPPER_BOUND_ONLY otherwise.  Refuses to certify anything that does
-    not verify.
-    """
-    report = verify_decomposition(d.target, d.parts, lower=lower)
-    if not report.passed:
-        raise VerificationFailedError(
-            f"cannot certify a failing decomposition: {report.summary()}"
-        )
-    guarantee = OPTIMAL if len(d.parts) == lower else UPPER_BOUND_ONLY
-    return replace(d, guarantee=guarantee)

@@ -8,9 +8,15 @@ import pytest
 
 from kronthick.bounds import theta_kn_times_k2, theta_knnn_times_k2
 from kronthick.cli import main
-from kronthick.graphs import components, make_complete
+from kronthick.constructions import Decomposition, chen_yin_k4p4p
+from kronthick.graphs import Graph, components, make_complete, make_complete_bipartite
 from kronthick.products import kronecker_product
-from kronthick.serialize import graph_document, graph_from_document, to_json
+from kronthick.serialize import (
+    decomposition_document,
+    graph_document,
+    graph_from_document,
+    to_json,
+)
 
 SEED_PATH = str(
     importlib.resources.files("kronthick").joinpath("data").joinpath("seed_k7_7.json")
@@ -132,6 +138,42 @@ def test_decompose_seed_dir_discovery(capsys, tmp_path, monkeypatch):
 def test_decompose_seed_dir_without_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("THICKNESS_SEED_DIR", str(tmp_path))
     assert run(capsys, "decompose", "knnn_x_k2", "11")[0] == 4
+
+
+def _k33_seed_document():
+    target = make_complete_bipartite(3, 3)
+    single = target.edges[0]
+    parts = (Graph(target.vertices, target.edges[1:]), Graph(single, [single]))
+    return decomposition_document(Decomposition(target, parts, "", ""))
+
+
+def _bundled_seed_document(edit):
+    with open(SEED_PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return doc
+
+
+_BAD_SEED_DOCUMENTS = {
+    "k33": _k33_seed_document,
+    "k88": lambda: decomposition_document(chen_yin_k4p4p(2)),
+    "no-single-edge-part": lambda: _bundled_seed_document(
+        lambda doc: doc["parts"].pop()),
+    "part0-edge-dropped": lambda: _bundled_seed_document(
+        lambda doc: doc["parts"][0]["edges"].pop(0)),
+}
+
+
+@pytest.mark.parametrize("seed", _BAD_SEED_DOCUMENTS)
+@pytest.mark.parametrize("n", ["6", "7", "11"])
+def test_decompose_bad_seed_file_exits_3(capsys, tmp_path, n, seed):
+    path = tmp_path / "seed.json"
+    path.write_text(to_json(_BAD_SEED_DOCUMENTS[seed]()))
+    code = main(["decompose", "knnn_x_k2", n, "--seed", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # sha256 of `decompose` stdout, recorded before the constructions were
@@ -401,6 +443,10 @@ def test_table_text_mode_has_header(capsys):
 
 def test_table_bad_range(capsys):
     assert run(capsys, "table", "kn_x_k2", "abc")[0] == 2
+
+
+def test_table_unknown_family_exits_2(capsys):
+    assert run(capsys, "table", "nonsense", "1..3")[0] == 2
 
 
 # ============================================================

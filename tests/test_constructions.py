@@ -284,9 +284,62 @@ def test_fixture_rejects_other_sizes():
 
 def test_bundled_seed_validates():
     seed = bundled_seed()
-    assert seed.p == 1
-    assert seed.side_size == 7
-    validate_seed(seed)
+    assert seed.target == make_complete_bipartite(7, 7)
+    assert validate_seed(seed) == 1
+
+
+def _k33_seed():
+    """A two-part seed of K_{3,3}: the shape of p = 0, which no lemma takes."""
+    target = make_complete_bipartite(3, 3)
+    single = target.edges[0]
+    rest = Graph(target.vertices, target.edges[1:])
+    return Decomposition(target, (rest, Graph(single, [single])), "", "")
+
+
+def _without_first_edge(g: Graph) -> Graph:
+    return Graph(g.vertices, g.edges[1:])
+
+
+def _target_missing_an_edge(seed):
+    """Parts and target both lose one edge: it verifies, but not as K_{7,7}."""
+    gone = seed.parts[0].edges[0]
+    target = Graph(seed.target.vertices, [e for e in seed.target.edges if e != gone])
+    first = _without_first_edge(seed.parts[0])
+    return replace(seed, target=target, parts=(first,) + seed.parts[1:])
+
+
+def _split_second_part(seed):
+    first, second, last = seed.parts
+    half = second.num_edges // 2
+    halves = (Graph(second.vertices, second.edges[:half]),
+              Graph(second.vertices, second.edges[half:]))
+    return replace(seed, parts=(first, *halves, last))
+
+
+def _move_edge_to_last_part(seed):
+    first, second, last = seed.parts
+    moved = second.edges[0]
+    last = Graph(last.vertex_set | set(moved), last.edges + (moved,))
+    return replace(seed, parts=(first, _without_first_edge(second), last))
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda s: replace(s, target=times_k2(make_complete(7))),
+        _target_missing_an_edge,
+        lambda s: _k33_seed(),
+        lambda s: replace(s, parts=s.parts[:-1]),
+        _split_second_part,
+        _move_edge_to_last_part,
+        lambda s: replace(s, parts=(_without_first_edge(s.parts[0]),) + s.parts[1:]),
+    ],
+    ids=["wrong-target", "target-not-complete", "p0", "p+1-parts", "p+3-parts",
+         "last-part-two-edges", "missing-edge"],
+)
+def test_validate_seed_rejects_defect(defect):
+    with pytest.raises(SeedInvalidError):
+        validate_seed(defect(bundled_seed()))
 
 
 def test_lemma46_assembles_four_parts():
@@ -313,7 +366,7 @@ def test_restriction_to_n6():
 
 def test_seed_with_wrong_shape_rejected():
     seed = bundled_seed()
-    broken = replace(seed, parts=seed.parts[:-1], single_edge=seed.single_edge)
+    broken = replace(seed, parts=seed.parts[:-1])
     with pytest.raises(SeedInvalidError):
         validate_seed(broken)
 

@@ -11,7 +11,11 @@ import pytest
 
 import kronthick
 
-from kronthick.constructions import chen_yin_k4p4p, kn_times_k2_decomposition
+from kronthick.constructions import (
+    chen_yin_k4p4p,
+    kn_times_k2_decomposition,
+    validate_seed,
+)
 from kronthick.errors import DocumentFormatError, SeedInvalidError
 from kronthick.graphs import (
     Graph,
@@ -152,8 +156,7 @@ def test_bound_report_document():
 
 def test_bundled_seed_loads():
     seed = load_seed_file(SEED_PATH)
-    assert seed.p == 1
-    assert seed.side_size == 7
+    assert seed.target == make_complete_bipartite(7, 7)
     assert len(seed.parts) == 3
     assert seed.parts[-1].num_edges == 1
 
@@ -168,8 +171,9 @@ def test_seed_rejects_wrong_side_size():
 def test_seed_rejects_missing_single_edge_part():
     doc = load_json(SEED_PATH)
     doc["parts"] = doc["parts"][:-1]
+    seed = seed_from_document(doc)
     with pytest.raises(SeedInvalidError):
-        seed_from_document(doc)
+        validate_seed(seed)
 
 
 # ============================================================

@@ -1,13 +1,6 @@
 from __future__ import annotations
 
-import pytest
-
-from kronthick.constructions import (
-    chen_yin_k4p4p,
-    kn_times_k2_decomposition,
-    knnn_times_k2_decomposition,
-)
-from kronthick.errors import VerificationFailedError
+from kronthick.constructions import chen_yin_k4p4p
 from kronthick.graphs import (
     Family,
     Graph,
@@ -20,9 +13,7 @@ from kronthick.graphs import (
 from kronthick.verification import (
     NOT_CERTIFIED,
     OPTIMAL,
-    UPPER_BOUND_ONLY,
     VerificationReport,
-    certify_optimal,
     verify_decomposition,
 )
 
@@ -131,39 +122,6 @@ def test_optimal_requires_matching_lower():
     assert verify_decomposition(target, parts, lower=3).optimality == OPTIMAL
     assert verify_decomposition(target, parts, lower=2).optimality == NOT_CERTIFIED
     assert verify_decomposition(target, parts).optimality == NOT_CERTIFIED
-
-
-def test_certify_optimal_on_builders():
-    d = certify_optimal(kn_times_k2_decomposition(8), 2)
-    assert d.guarantee == OPTIMAL
-    d = certify_optimal(knnn_times_k2_decomposition(9), 5)
-    assert d.guarantee == OPTIMAL
-
-
-def test_certify_not_optimal_when_split():
-    base = kn_times_k2_decomposition(8)
-    # split one part in two: still verifies but exceeds the bound
-    first = base.parts[0]
-    half = list(first.edges)[: first.num_edges // 2]
-    rest = remove_edges(first, half)
-    piece = Graph(first.vertices, half)
-    from dataclasses import replace
-
-    padded = replace(base, parts=(rest, piece) + base.parts[1:])
-    d = certify_optimal(padded, 2)
-    assert d.guarantee == UPPER_BOUND_ONLY
-
-
-def test_certify_optimal_rejects_broken_decomposition():
-    base = kn_times_k2_decomposition(8)
-    from dataclasses import replace
-
-    broken = replace(
-        base, parts=(remove_edges(base.parts[0], [base.parts[0].edges[0]]),)
-        + base.parts[1:],
-    )
-    with pytest.raises(VerificationFailedError):
-        certify_optimal(broken, 2)
 
 
 # ============================================================
