@@ -1,14 +1,22 @@
 """Canonical JSON documents and DOT export for graphs and decompositions.
 
-The JSON writer is deterministic (sorted keys, sorted vertices and edges,
-two-space indent, trailing newline), so write -> read -> write is
-byte-identical; tests rely on that.  Vertex references inside edge lists
-use the short printable names (x1_3, u_4, p2_1.u_1).
+Documents hold sorted vertices and edges, and vertex references inside
+edge lists use the short printable names (x1_3, u_4, p2_1.u_1).
+``to_json`` is this module's one JSON writer.  Its output is exactly
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a trailing newline for
+every value built from dicts with str keys, lists, tuples, str, int, bool,
+None and float, so write -> read -> write is byte-identical; tests compare
+it with ``json.dumps`` directly.  It exists because json falls back to its
+pure-Python encoder whenever an indent is given: this writer escapes
+strings with json's C ``encode_basestring_ascii`` and renders the two bulk
+shapes of a decomposition document at once, lists of [name, name] edge
+pairs and the flat vertex objects that every part repeats.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .bounds import BoundReport
 from .constructions import Decomposition
@@ -73,16 +81,30 @@ def vertex_from_object(obj) -> VertexLabel | ProductVertex:
 # ============================================================
 
 
-def _graph_object(g: Graph) -> dict:
-    name = {v: v.name for v in g.vertices}
-    return {
-        "vertices": [vertex_object(v) for v in g.vertices],
-        "edges": [[name[a], name[b]] for a, b in g.edges],
-    }
+def _graph_objects(graphs) -> list[dict]:
+    """The graph objects of graphs; each vertex's name and object made once.
+
+    Every occurrence of a vertex gets its own copy of the object, so no
+    two places in a document share a mutable dict.
+    """
+    vertices = set().union(*(g.vertices for g in graphs))
+    name = {v: v.name for v in vertices}
+    obj = {v: vertex_object(v) for v in vertices}
+    return [
+        {
+            "vertices": [_copy_object(obj[v]) for v in g.vertices],
+            "edges": [[name[a], name[b]] for a, b in g.edges],
+        }
+        for g in graphs
+    ]
+
+
+def _copy_object(obj: dict) -> dict:
+    return {k: _copy_object(x) if type(x) is dict else x for k, x in obj.items()}
 
 
 def graph_document(g: Graph) -> dict:
-    doc = _graph_object(g)
+    [doc] = _graph_objects([g])
     doc["format_version"] = FORMAT_VERSION
     return doc
 
@@ -142,10 +164,11 @@ def _check_version(doc) -> None:
 
 
 def decomposition_document(d: Decomposition) -> dict:
+    target, *parts = _graph_objects([d.target, *d.parts])
     return {
         "format_version": FORMAT_VERSION,
-        "target": _graph_object(d.target),
-        "parts": [_graph_object(g) for g in d.parts],
+        "target": target,
+        "parts": parts,
         "guarantee": d.guarantee,
         "provenance": {"theorem": d.provenance, "figure": d.figure},
     }
@@ -234,15 +257,91 @@ def load_seed_file(path) -> Decomposition:
 # ============================================================
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# Value types whose equal values always print alike; -0.0 == 0.0 rules out float.
+_MEMO_SCALARS = frozenset((str, int, bool, type(None)))
+_PAIR_TYPES = frozenset((list, tuple))
+_INF = float("inf")
+
+
 def to_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    Flat objects of str, int, bool and None are rendered once per content,
+    value types and depth within one call and then reused; a key that
+    holds the value types keeps 1, True and 1.0 apart.
+    """
+    memo: dict = {}
+
+    def value(o, level: int) -> str:
+        if isinstance(o, str):
+            return _encode_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if isinstance(o, (list, tuple)):
+            return array(o, level)
+        if isinstance(o, dict):
+            return obj(o, level)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def array(seq, level: int) -> str:
+        if not seq:
+            return "[]"
+        nl = "\n" + "  " * (level + 1)
+        types = set(map(type, seq))
+        if (types <= _PAIR_TYPES
+                and set(map(len, seq)) == {2}
+                and set(map(type, chain.from_iterable(seq))) == {str}):
+            nl2 = nl + "  "
+            items = [f"[{nl2}{_encode_str(a)},{nl2}{_encode_str(b)}{nl}]" for a, b in seq]
+        elif types == {dict}:
+            items = [obj(x, level + 1) for x in seq]
+        else:
+            items = [value(x, level + 1) for x in seq]
+        return "[" + nl + ("," + nl).join(items) + nl[:-2] + "]"
+
+    def obj(d: dict, level: int) -> str:
+        if not d:
+            return "{}"
+        types = tuple(map(type, d.values()))
+        key = (level, tuple(d.items()), types) if _MEMO_SCALARS.issuperset(types) else None
+        text = memo.get(key)
+        if text is None:
+            nl = "\n" + "  " * (level + 1)
+            text = "{" + nl + ("," + nl).join(
+                [f"{_encode_str(k)}: {value(x, level + 1)}" for k, x in sorted(d.items())]
+            ) + nl[:-2] + "}"
+            if key is not None:
+                memo[key] = text
+        return text
+
+    return value(doc, 0) + "\n"
+
+
+def _float_text(f: float) -> str:
+    if f != f:
+        return "NaN"
+    if f == _INF:
+        return "Infinity"
+    if f == -_INF:
+        return "-Infinity"
+    return float.__repr__(f)
 
 
 def load_json(path):
+    """Parse a JSON file; undecodable bytes and runaway nesting are format errors."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DocumentFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -31,7 +31,6 @@ from kronthick.graphs import (
     VertexLabel,
     is_triangle_free,
     make_complete,
-    make_complete_bipartite,
     make_complete_tripartite,
     make_cycle,
     make_path,

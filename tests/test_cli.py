@@ -284,6 +284,31 @@ def test_verify_parse_failures(capsys, tmp_path):
     assert run(capsys, "verify", str(bad))[0] == 3
 
 
+_UNREADABLE_FILES = {
+    "non-utf8": b"\xff\xfe\x00garbage",
+    "deep-nesting": b"[" * 100_000,
+}
+
+_FILE_READING_COMMANDS = {
+    "verify": lambda path: ["verify", path],
+    "decompose-seed": lambda path: ["decompose", "knnn_x_k2", "7", "--seed", path],
+    "product-file": lambda path: ["product", f"file:{path}", "kn:2"],
+}
+
+
+@pytest.mark.parametrize("command", _FILE_READING_COMMANDS)
+@pytest.mark.parametrize("content", _UNREADABLE_FILES)
+def test_unreadable_json_file_exits_3(capsys, tmp_path, content, command):
+    path = tmp_path / "doc.json"
+    path.write_bytes(_UNREADABLE_FILES[content])
+    code = main(_FILE_READING_COMMANDS[command](str(path)))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def _set(path, value):
     def mutate(doc):
         *keys, last = path

@@ -9,7 +9,6 @@ from kronthick.bounds import (
     theta_kn_times_k2,
     theta_knn,
     theta_knnn_times_k2,
-    thickness_lower_bound,
 )
 from kronthick.constructions import (
     _BLOCKS_LAYER1,
@@ -43,7 +42,6 @@ from kronthick.graphs import (
     make_complete_bipartite,
     make_complete_tripartite,
 )
-from kronthick.planarity import is_planar
 from kronthick.products import times_k2
 from kronthick.serialize import load_json, seed_from_document
 from kronthick.verification import OPTIMAL, verify_decomposition

@@ -25,7 +25,6 @@ from kronthick.oracle import (
     BOUNDS_ONLY,
     EXACT,
     TIMEOUT,
-    OracleResult,
     SearchBudget,
     exact_thickness,
     find_planar_partition,

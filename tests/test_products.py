@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kronthick.errors import PreconditionError
 from kronthick.graphs import (
     Family,
     Graph,

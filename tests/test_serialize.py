@@ -8,17 +8,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import kronthick
 
 from kronthick.constructions import (
+    Decomposition,
     chen_yin_k4p4p,
     kn_times_k2_decomposition,
+    knnn_times_k2_decomposition,
     validate_seed,
 )
 from kronthick.errors import DocumentFormatError, SeedInvalidError
 from kronthick.graphs import (
-    Graph,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -184,6 +187,113 @@ def test_seed_rejects_missing_single_edge_part():
 def test_to_json_is_sorted_and_newline_terminated():
     text = to_json({"b": 1, "a": [2, 1]})
     assert text == '{\n  "a": [\n    2,\n    1\n  ],\n  "b": 1\n}\n'
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# Values that compare equal but print differently (1 / True / 1.0,
+# 0 / False / 0.0 / -0.0), and strings that need escapes or are not ASCII.
+_TRICKY_SCALARS = [
+    0, 1, -1, True, False, 0.0, -0.0, 1.0, float("nan"), float("inf"),
+    float("-inf"), None, "", "1", "true", "\u00e9", "\n\t", '"\\', "\x00\x1f",
+    "\u2028", "\U0001f600",
+]
+_scalars = st.one_of(
+    st.sampled_from(_TRICKY_SCALARS), st.none(), st.booleans(), st.integers(),
+    st.floats(), st.text(),
+)
+_pairs = st.one_of(st.lists(st.text(), min_size=2, max_size=2), st.tuples(st.text(), st.text()))
+# Small flat objects drawn from a few keys and the tricky scalars, so one
+# document often holds objects that differ only by 1 / True / 1.0.
+_flat_objects = st.dictionaries(
+    st.sampled_from(["a", "b", "index"]), st.sampled_from(_TRICKY_SCALARS), max_size=3
+)
+_json_values = st.recursive(
+    st.one_of(_scalars, _pairs, _flat_objects),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.lists(st.one_of(_pairs, _flat_objects, children), max_size=8),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@example([{"a": 1}, {"a": True}, {"a": 1.0}, {"a": 0}, {"a": False}, {"a": 0.0}, {"a": -0.0}])
+@example({"x": [[], {}, [[{}]], ["p", "q"], ("r", "s"), ["t", 1], "u"], "y": ()})
+def test_to_json_matches_json_dumps(value):
+    assert to_json(value) == _dumps(value)
+
+
+def _seed(p):
+    return load_seed_file(SEED_PATH)
+
+
+# kn_x_k2 odd and even, knn, knnn_x_k2 with the bundled seed, its restrict
+# path (n = 2 mod 4) and n = 41.
+_FAMILY_DECOMPOSITIONS = {
+    "kn_x_k2-9": lambda: kn_times_k2_decomposition(9),
+    "kn_x_k2-12": lambda: kn_times_k2_decomposition(12),
+    "knn-3": lambda: chen_yin_k4p4p(3),
+    "knnn_x_k2-7-seed": lambda: knnn_times_k2_decomposition(7, seed_provider=_seed),
+    "knnn_x_k2-6-seed": lambda: knnn_times_k2_decomposition(6, seed_provider=_seed),
+    "knnn_x_k2-2": lambda: knnn_times_k2_decomposition(2),
+    "knnn_x_k2-41": lambda: knnn_times_k2_decomposition(41),
+}
+
+
+@pytest.mark.parametrize("case", _FAMILY_DECOMPOSITIONS)
+def test_decomposition_json_matches_json_dumps(case):
+    doc = decomposition_document(_FAMILY_DECOMPOSITIONS[case]())
+    assert to_json(doc) == _dumps(doc)
+
+
+def test_product_graph_json_matches_json_dumps():
+    doc = graph_document(kronecker_product(make_cycle(3), make_complete_bipartite(2, 3)))
+    assert "left" in doc["vertices"][0]
+    assert to_json(doc) == _dumps(doc)
+
+
+def test_to_json_never_uses_json_indent_encoder(monkeypatch):
+    d = kn_times_k2_decomposition(64)
+    docs = [
+        decomposition_document(d),
+        report_document(verify_decomposition(d.target, d.parts)),
+        bound_report_document(g_times_k2_bounds(make_complete(64))),
+    ]
+    expected = [_dumps(doc) for doc in docs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json's pure-Python indent encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+    assert [to_json(doc) for doc in docs] == expected
+
+
+def _set_every_index(obj, value):
+    obj["index"] = value
+    for nested in obj.values():
+        if isinstance(nested, dict):
+            _set_every_index(nested, value)
+
+
+@pytest.mark.parametrize("kind", ["labels", "product-vertices"])
+def test_decomposition_document_shares_no_vertex_objects(kind):
+    if kind == "labels":
+        d = kn_times_k2_decomposition(8)
+    else:
+        prod = kronecker_product(make_cycle(3), make_complete(3))
+        d = Decomposition(prod, (prod, prod), "", "")
+    doc = decomposition_document(d)
+    first = doc["parts"][0]["vertices"][0]
+    assert first in doc["parts"][1]["vertices"] and first in doc["target"]["vertices"]
+    before = _dumps([doc["parts"][1], doc["target"]])
+    _set_every_index(first, -1)
+    assert _dumps([doc["parts"][1], doc["target"]]) == before
 
 
 def test_dot_output():

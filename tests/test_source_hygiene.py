@@ -1,8 +1,10 @@
-"""Every import in the package is used and every private name is referenced.
+"""Every import is used and every private name in the package is referenced.
 
-Checked per module of src/kronthick with the standard library's ast, so a
-refactor cannot leave an orphaned import or a dead private helper behind.
-__init__.py is exempt: it imports in order to re-export.
+Checked with the standard library's ast, so a refactor cannot leave an
+orphaned import or a dead private helper behind.  Imports are checked in
+the modules of src/kronthick, tests and scripts; private names in
+src/kronthick.  The package's __init__.py is exempt: it imports in order to
+re-export.
 """
 
 from __future__ import annotations
@@ -12,9 +14,17 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kronthick"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kronthick"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+# Package modules keep their bare file names as keys; the rest are keyed
+# by their path from the repository root.
+IMPORTING = {
+    **TREES,
+    **{p.relative_to(ROOT).as_posix(): ast.parse(p.read_text(encoding="utf-8"))
+       for p in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")])},
+}
 
 
 def _read_names(tree) -> set[str]:
@@ -57,9 +67,9 @@ def _private_top_level_names(tree):
                 yield node.lineno, name
 
 
-@pytest.mark.parametrize("module", sorted(TREES))
+@pytest.mark.parametrize("module", sorted(IMPORTING))
 def test_every_import_is_used(module):
-    tree = TREES[module]
+    tree = IMPORTING[module]
     used = _read_names(tree)
     unused = [f"{module}:{line} {name}" for line, name in _imported_names(tree)
               if name not in used]

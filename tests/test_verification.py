@@ -13,7 +13,6 @@ from kronthick.graphs import (
 from kronthick.verification import (
     NOT_CERTIFIED,
     OPTIMAL,
-    VerificationReport,
     verify_decomposition,
 )
 
