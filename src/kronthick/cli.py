@@ -180,8 +180,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = load_json(args.path)
-    d = decomposition_from_document(doc)
+    d = decomposition_from_document(load_json(args.path))
     report = verify_decomposition(
         d.target, d.parts, lower=thickness_lower_bound(d.target)
     )

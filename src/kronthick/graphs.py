@@ -6,6 +6,12 @@ Vertices are symbolic labels: a family, a positive index, and a layer in
 key: x_1 < x1_1 < x2_1 < x_2 < ... < y_1 < ... < p2_n.  Product-vertex pairs
 sort after every label.  Graphs are values; every operation returns a new
 graph and never mutates its inputs, so graph objects can be shared freely.
+
+A graph is stored on one integer core: its sorted labels and the sorted
+index pairs (i, j), i < j, of its edges.  The planarity test, the verifier,
+the oracle, the triangle test and the document reader and writer all work
+on the pairs; label edges, vertex and edge sets and the adjacency are built
+only when asked for, and then cached.
 """
 
 from __future__ import annotations
@@ -119,38 +125,69 @@ def edge(a: Vertex, b: Vertex) -> Edge:
 class Graph:
     """Immutable simple graph on symbolic vertex labels.
 
-    Vertex and edge iteration order is deterministic (sorted by label), so
-    anything derived from a graph is reproducible across runs.
+    vertices is the sorted label tuple and pairs the sorted tuple of index
+    pairs (i, j), i < j, one per edge; everything else is derived from them
+    on first use and cached.  Pairs and label edges come out in the same
+    order, so iteration is deterministic and reproducible across runs.
     """
 
-    __slots__ = ("_vertices", "_edges", "_vertex_set", "_edge_set", "_adj")
+    __slots__ = ("_vertices", "_pairs", "_edges", "_vertex_set", "_edge_set", "_adj")
 
     def __init__(self, vertices, edges=()):
-        vset = frozenset(vertices)
-        eset = frozenset(edge(a, b) for a, b in edges)
-        for a, b in eset:
-            if a not in vset or b not in vset:
+        vs = tuple(sorted(set(vertices)))
+        index = {v: i for i, v in enumerate(vs)}
+        pairs = set()
+        for a, b in edges:
+            if a == b:
+                raise PreconditionError(f"self-loop at {a!r}")
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise PreconditionError(f"edge endpoint not in vertex set: {a!r}-{b!r}")
-        self._vertices: tuple = tuple(sorted(vset))
-        self._edges: tuple = tuple(sorted(eset))
-        self._vertex_set = vset
-        self._edge_set = eset
-        self._adj: dict | None = None
+            pairs.add((i, j) if i < j else (j, i))
+        self._init(vs, tuple(sorted(pairs)))
+
+    @classmethod
+    def _trusted(cls, vertices: tuple, pairs: tuple) -> Graph:
+        """A graph on sorted distinct labels and sorted distinct pairs (i, j), i < j.
+
+        Nothing is checked: the caller guarantees both orders.
+        """
+        g = object.__new__(cls)
+        g._init(vertices, pairs)
+        return g
+
+    def _init(self, vertices: tuple, pairs: tuple) -> None:
+        self._vertices = vertices
+        self._pairs = pairs
+        self._edges = self._vertex_set = self._edge_set = self._adj = None
 
     @property
     def vertices(self) -> tuple:
         return self._vertices
 
     @property
+    def pairs(self) -> tuple:
+        """Sorted index pairs (i, j), i < j, one per edge, indexing vertices."""
+        return self._pairs
+
+    @property
     def edges(self) -> tuple:
+        """Label edges (a, b), a < b, sorted; built once, then cached."""
+        if self._edges is None:
+            vs = self._vertices
+            self._edges = tuple([(vs[i], vs[j]) for i, j in self._pairs])
         return self._edges
 
     @property
     def vertex_set(self) -> frozenset:
+        if self._vertex_set is None:
+            self._vertex_set = frozenset(self._vertices)
         return self._vertex_set
 
     @property
     def edge_set(self) -> frozenset:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
         return self._edge_set
 
     @property
@@ -159,17 +196,17 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._pairs)
 
     @property
     def adjacency(self) -> dict:
         """vertex -> tuple of neighbors, sorted; built once, then cached."""
         if self._adj is None:
-            nbrs: dict = {v: [] for v in self._vertices}
-            for a, b in self._edges:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-            self._adj = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+            vs = self._vertices
+            self._adj = {
+                v: tuple([vs[j] for j in ns])
+                for v, ns in zip(vs, int_adjacency(len(vs), self._pairs))
+            }
         return self._adj
 
     def degree(self, v: Vertex) -> int:
@@ -178,13 +215,23 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertex_set == other._vertex_set and self._edge_set == other._edge_set
+        # equal sorted labels and equal pairs over them: equal sets
+        return self._vertices == other._vertices and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash((self._vertex_set, self._edge_set))
+        return hash((self._vertices, self._pairs))
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
+
+
+def int_adjacency(n: int, pairs) -> list[list[int]]:
+    """Neighbor lists of vertices 0..n-1; ascending when pairs are sorted."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
 
 
 # ============================================================
@@ -258,17 +305,27 @@ def remove_edges(g: Graph, edges) -> Graph:
 
 def induced_subgraph(g: Graph, keep) -> Graph:
     """Subgraph induced by the vertices v for which keep(v) is true."""
-    vs = [v for v in g.vertices if keep(v)]
-    vset = frozenset(vs)
-    return Graph(vs, ((a, b) for a, b in g.edges if a in vset and b in vset))
+    new = [-1] * g.num_vertices
+    vs = []
+    for i, v in enumerate(g.vertices):
+        if keep(v):
+            new[i] = len(vs)
+            vs.append(v)
+    # the renumbering keeps the order, so the kept pairs stay sorted
+    pairs = tuple([(new[a], new[b]) for a, b in g.pairs if new[a] >= 0 and new[b] >= 0])
+    return Graph._trusted(tuple(vs), pairs)
 
 
 def is_triangle_free(g: Graph) -> bool:
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
-    for a, b in g.edges:
-        if adj[a] & adj[b]:
-            return False
-    return True
+    """No edge's ends share a later neighbor; neighbor sets as bitmasks.
+
+    masks[a] holds the neighbors after a, so a triangle a < b < c shows
+    as c in both masks[a] and masks[b].
+    """
+    masks = [0] * g.num_vertices
+    for a, b in g.pairs:
+        masks[a] |= 1 << b
+    return not any(masks[a] & masks[b] for a, b in g.pairs)
 
 
 def components(g: Graph) -> list[Graph]:

@@ -194,25 +194,23 @@ def find_planar_partition(
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.wall_limit
 
+    verts = g.vertices
     forced = None
-    search_edges = g.edge_set
+    search_pairs = g.pairs
     inner_k = k
     if force_single_edge is not None:
         a, b = force_single_edge
         forced = edge(a, b)
         if forced not in g.edge_set:
             raise PreconditionError("forced edge is not an edge of the target")
-        search_edges = g.edge_set - {forced}
+        forced_pair = tuple(map(verts.index, forced))
+        search_pairs = [e for e in search_pairs if e != forced_pair]
         inner_k = k - 1
-        if inner_k < 1 and search_edges:
+        if inner_k < 1 and search_pairs:
             return PartitionSearchResult(found=None, exhausted=True, nodes=0)
 
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    int_edges = sorted(
-        ((index[a], index[b]) for a, b in search_edges),
-        key=lambda e: (max(e), min(e)),
-    )
+    # pairs are (i, j) with i < j: edges in order of their later end
+    int_edges = sorted(search_pairs, key=lambda e: (e[1], e[0]))
     parts, exhausted, nodes = _search_partition(
         g.num_vertices, int_edges, inner_k, is_triangle_free(g), deadline, budget.max_nodes
     )

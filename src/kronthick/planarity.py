@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructuralViolationError
-from .graphs import Graph
+from .graphs import Graph, int_adjacency
 
 
 def euler_max_edges(v: int, triangle_free: bool = False) -> int:
@@ -365,8 +365,7 @@ def _is_plane_rotation(adj: list[list[int]], order) -> bool:
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Exact planarity decision; planar verdicts carry a checked embedding."""
     verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[w] for w in g.adjacency[v]] for v in verts]
+    adj = int_adjacency(len(verts), g.pairs)  # sorted pairs: ascending neighbors
     ok, order = _lr_core(len(verts), adj, want_embedding=True)
     if not ok:
         return PlanarityVerdict(planar=False)
@@ -374,7 +373,7 @@ def is_planar(g: Graph) -> PlanarityVerdict:
         raise StructuralViolationError(
             "embedding failed the edge-set or Euler face check; planarity core is buggy"
         )
-    rotation = {v: tuple(verts[j] for j in ns) for v, ns in zip(verts, order)}
+    rotation = {v: tuple(map(verts.__getitem__, ns)) for v, ns in zip(verts, order)}
     return PlanarityVerdict(planar=True, certificate=Embedding(rotation))
 
 

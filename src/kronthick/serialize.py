@@ -16,11 +16,12 @@ pairs and the flat vertex objects that every part repeats.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
+from operator import eq, itemgetter
 
 from .bounds import BoundReport
 from .constructions import Decomposition
-from .errors import DocumentFormatError, PreconditionError, SeedInvalidError
+from .errors import DocumentFormatError, SeedInvalidError
 from .graphs import (
     Family,
     Graph,
@@ -84,19 +85,21 @@ def vertex_from_object(obj) -> VertexLabel | ProductVertex:
 def _graph_objects(graphs) -> list[dict]:
     """The graph objects of graphs; each vertex's name and object made once.
 
-    Every occurrence of a vertex gets its own copy of the object, so no
-    two places in a document share a mutable dict.
+    Edges are named from each graph's index pairs.  Every occurrence of a
+    vertex gets its own copy of the object, so no two places in a document
+    share a mutable dict.
     """
     vertices = set().union(*(g.vertices for g in graphs))
     name = {v: v.name for v in vertices}
     obj = {v: vertex_object(v) for v in vertices}
-    return [
-        {
+    docs = []
+    for g in graphs:
+        names = [name[v] for v in g.vertices]
+        docs.append({
             "vertices": [_copy_object(obj[v]) for v in g.vertices],
-            "edges": [[name[a], name[b]] for a, b in g.edges],
-        }
-        for g in graphs
-    ]
+            "edges": [[names[i], names[j]] for i, j in g.pairs],
+        })
+    return docs
 
 
 def _copy_object(obj: dict) -> dict:
@@ -109,17 +112,44 @@ def graph_document(g: Graph) -> dict:
     return doc
 
 
-def _graph_from_object(obj) -> Graph:
+def _vertex_reader():
+    """vertex_from_object with reuse: (label, name) per distinct vertex object.
+
+    Objects are keyed on their items and the types of their values, so
+    1, true and 1.0 never share a label.  Pair vertices and other objects
+    that cannot be keyed are read every time.
+    """
+    memo: dict = {}
+
+    def read(obj) -> tuple:
+        try:
+            key = (tuple(obj.items()), tuple(map(type, obj.values())))
+            hit = memo.get(key)
+        except (AttributeError, TypeError):
+            v = vertex_from_object(obj)
+            return v, v.name
+        if hit is None:
+            v = vertex_from_object(obj)
+            hit = memo[key] = (v, v.name)
+        return hit
+
+    return read
+
+
+def _graph_from_object(obj, read) -> Graph:
+    """The graph of a graph object, its edges as index pairs over sorted vertices."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise DocumentFormatError("graph object needs 'vertices' and 'edges'")
     _check_list(obj["vertices"], "vertices")
     _check_list(obj["edges"], "edges")
-    vertices = [vertex_from_object(o) for o in obj["vertices"]]
-    by_name: dict = {}
-    for v in vertices:
-        if v.name in by_name:
-            raise DocumentFormatError(f"duplicate vertex {v.name}")
-        by_name[v.name] = v
+    named = list(map(read, obj["vertices"]))
+    seen: set = set()
+    for _, name in named:
+        if name in seen:
+            raise DocumentFormatError(f"duplicate vertex {name}")
+        seen.add(name)
+    named.sort(key=itemgetter(0))
+    by_name = {name: i for i, (_, name) in enumerate(named)}
     pairs = []
     for entry in obj["edges"]:
         if not isinstance(entry, list) or len(entry) != 2:
@@ -129,19 +159,20 @@ def _graph_from_object(obj) -> Graph:
             raise DocumentFormatError(f"edge references must be vertex names: {entry!r}")
         if ra not in by_name or rb not in by_name:
             raise DocumentFormatError(f"edge references unknown vertex: {entry!r}")
-        pairs.append((by_name[ra], by_name[rb]))
-    try:
-        g = Graph(vertices, pairs)
-    except PreconditionError as exc:
-        raise DocumentFormatError(f"bad edge: {exc}") from exc
-    if g.num_edges != len(pairs):
+        i, j = by_name[ra], by_name[rb]
+        if i == j:
+            raise DocumentFormatError(f"bad edge: self-loop at {named[i][0]!r}")
+        pairs.append((i, j) if i < j else (j, i))
+    # a document lists its edges sorted, which sort() checks in one pass
+    pairs.sort()
+    if any(map(eq, pairs, islice(pairs, 1, None))):
         raise DocumentFormatError("an edge is listed twice")
-    return g
+    return Graph._trusted(tuple([v for v, _ in named]), tuple(pairs))
 
 
 def graph_from_document(doc) -> Graph:
     _check_version(doc)
-    return _graph_from_object(doc)
+    return _graph_from_object(doc, _vertex_reader())
 
 
 def _check_list(value, key: str) -> None:
@@ -182,18 +213,23 @@ def decomposition_from_document(doc) -> Decomposition:
     prov = doc["provenance"]
     if not isinstance(prov, dict) or "theorem" not in prov:
         raise DocumentFormatError("provenance must be an object with a 'theorem'")
+    if not isinstance(doc["guarantee"], str):
+        raise DocumentFormatError("guarantee must be a string")
+    if not isinstance(prov["theorem"], str):
+        raise DocumentFormatError("provenance theorem must be a string")
     figure = prov.get("figure")
     if figure is not None and not isinstance(figure, str):
         raise DocumentFormatError("provenance figure must be a string or null")
     _check_list(doc["parts"], "parts")
-    target = _graph_from_object(doc["target"])
+    read = _vertex_reader()
+    target = _graph_from_object(doc["target"], read)
     if not target.vertices:
         raise DocumentFormatError("decomposition target has no vertices")
     return Decomposition(
         target=target,
-        parts=tuple(_graph_from_object(o) for o in doc["parts"]),
-        guarantee=str(doc["guarantee"]),
-        provenance=str(prov["theorem"]),
+        parts=tuple(_graph_from_object(o, read) for o in doc["parts"]),
+        guarantee=doc["guarantee"],
+        provenance=prov["theorem"],
         figure=figure,
     )
 
@@ -346,10 +382,9 @@ def load_json(path):
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:
+    names = [v.name for v in g.vertices]
     lines = [f"graph {name} {{"]
-    for v in g.vertices:
-        lines.append(f'  "{v.name}";')
-    for a, b in g.edges:
-        lines.append(f'  "{a.name}" -- "{b.name}";')
+    lines += [f'  "{v}";' for v in names]
+    lines += [f'  "{names[i]}" -- "{names[j]}";' for i, j in g.pairs]
     lines.append("}")
     return "\n".join(lines) + "\n"

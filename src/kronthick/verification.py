@@ -54,15 +54,38 @@ def verify_decomposition(
     are sorted, so reports are deterministic.
     """
     parts = list(parts)
+    # Integer vertex ids: the target's indices, then each vertex that only
+    # a part has, in order of first appearance.  A pair lists its ends in
+    # label order, so the key x*n + y of their ids x, y names one edge
+    # whatever the order of the ids; n exceeds every id.
+    labels = list(target.vertices)
+    ids = {v: i for i, v in enumerate(labels)}
+    n = len(labels) + sum(part.num_vertices for part in parts)
+    keys = []
+    for part in parts:
+        pid = list(map(ids.get, part.vertices))
+        if None in pid:
+            for k, v in enumerate(part.vertices):
+                if pid[k] is None:
+                    pid[k] = ids[v] = len(labels)
+                    labels.append(v)
+        keys.append([pid[a] * n + pid[b] for a, b in part.pairs])
+    target_keys = {a * n + b for a, b in target.pairs}
+    covered = set().union(*keys)
     holders: dict = {}
-    for i, part in enumerate(parts):
-        for e in part.edges:
-            holders.setdefault(e, []).append(i)
-    covered = set(holders)
-    missing = sorted(target.edge_set - covered)
-    extra = sorted(covered - target.edge_set)
+    if len(covered) < sum(map(len, keys)):  # some edge is in two parts
+        for i, ks in enumerate(keys):
+            for key in ks:
+                holders.setdefault(key, []).append(i)
+
+    def label_edge(key: int) -> tuple:
+        x, y = divmod(key, n)
+        return labels[x], labels[y]
+
+    missing = sorted(map(label_edge, target_keys - covered))
+    extra = sorted(map(label_edge, covered - target_keys))
     overlap = sorted(
-        (e, tuple(idx)) for e, idx in holders.items() if len(idx) > 1
+        (label_edge(key), tuple(idx)) for key, idx in holders.items() if len(idx) > 1
     )
     nonplanar = [i for i, part in enumerate(parts) if not is_planar(part).planar]
     passed = not (missing or extra or overlap or nonplanar)

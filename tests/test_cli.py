@@ -325,6 +325,18 @@ def _add_vertex(obj):
     return mutate
 
 
+def _reuse_with_index_true(doc):
+    # a later part repeats a vertex object of the first part, index 1 as true
+    first = doc["parts"][0]["vertices"][0]
+    later = doc["parts"][1]["vertices"]
+    later[later.index(first)] = {**first, "index": True}
+
+
+def _drop_first_vertex(doc):
+    # the part's edges still name the target vertex it no longer lists
+    del doc["parts"][0]["vertices"][0]
+
+
 def _add_edge(make):
     def mutate(doc):
         edges = doc["parts"][0]["edges"]
@@ -349,12 +361,17 @@ def _add_edge(make):
         _add_edge(lambda e: e[::-1]),
         _add_edge(lambda e: [e[0], e[0]]),
         _set(["target"], {"vertices": [], "edges": []}),
+        _set(["guarantee"], ["x"]),
+        _set(["provenance", "theorem"], {"a": 1}),
+        _reuse_with_index_true,
+        _drop_first_vertex,
     ],
     ids=[
         "parts-int", "parts-object", "vertices-int", "edges-object",
         "target-edges-object", "target-vertices-string", "index-bool",
         "layer-bool", "family-list", "edge-ref-list", "edge-twice",
-        "edge-reversed", "self-loop", "empty-target",
+        "edge-reversed", "self-loop", "empty-target", "guarantee-list",
+        "theorem-object", "later-part-index-true", "edge-names-unlisted-vertex",
     ],
 )
 def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):

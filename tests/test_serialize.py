@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import kronthick
 
+from kronthick.cli import main
 from kronthick.constructions import (
     Decomposition,
     chen_yin_k4p4p,
@@ -22,6 +23,7 @@ from kronthick.constructions import (
 )
 from kronthick.errors import DocumentFormatError, SeedInvalidError
 from kronthick.graphs import (
+    Graph,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -272,6 +274,19 @@ def test_to_json_never_uses_json_indent_encoder(monkeypatch):
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
     assert [to_json(doc) for doc in docs] == expected
+
+
+def test_verify_never_materialises_label_edges(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "kn_x_k2_64.json"
+    path.write_text(to_json(decomposition_document(kn_times_k2_decomposition(64))))
+
+    def forbidden(self):
+        raise AssertionError("verify built label edges of a graph")
+
+    for name in ("edges", "edge_set", "adjacency"):
+        monkeypatch.setattr(Graph, name, property(forbidden))
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def _set_every_index(obj, value):
