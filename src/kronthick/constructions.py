@@ -10,12 +10,14 @@ VertexLabel(Family.X, i, 1).  Each part is built once, as one Graph, from
 index pairs (a, b), each the edge v_a u_b of a bipartite part, placed on
 (family, layer) blocks: K_{4p,4p} keeps the layerless v/u families,
 K_n x K_2 puts v on layer 1 and u on layer 2, and K_{n,n,n} x K_2 copies a
-part three times around the x -> y -> z family cycle.  Index pairs are the
+part three times around the x -> y -> z family cycle; the Graph gets the
+sorted position pairs, with no label edges in between.  Index pairs are the
 only edge currency: every edge of K_{n,n,n} x K_2 joins two families on
 opposite layers, so it lies in exactly one of the six blocks, and the
 edges the tripartite lemmas add or delete are pairs on named blocks.  A
 layer-2 part is its layer-1 partner on swapped blocks, and odd K_n x K_2
-keeps the pairs of n+1 that stay on indices <= n.
+keeps the pairs of n+1 that stay on indices <= n.  Only K_{n,n,n} x K_2,
+n = 2 (mod 4), is built larger and induced on the indices <= n.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .bounds import (
     LEMMA_4_6,
     THM_3_3,
     theta_knnn_times_k2,
-    thickness_lower_bound,
 )
 from .errors import (
     ConstructionConflictError,
@@ -50,11 +51,7 @@ from .graphs import (
 )
 from .planarity import is_planar
 from .products import times_k2
-from .verification import (
-    OPTIMAL,
-    UPPER_BOUND_ONLY,
-    verify_decomposition,
-)
+from .verification import OPTIMAL, verify_decomposition
 
 __all__ = [
     "Decomposition",
@@ -64,7 +61,6 @@ __all__ = [
     "knnn_times_k2_n1mod4",
     "knnn_times_k2_fixture",
     "lemma46_assemble",
-    "restrict_decomposition",
     "knnn_times_k2_decomposition",
 ]
 
@@ -140,27 +136,34 @@ def _place(pairs: list, blocks, adds=None, dels=None, vs=(), us=()) -> Graph:
     The v indices vs and u indices us are placed on every block even if no
     pair uses them.  adds and dels map a block, one of blocks or any other,
     to index pairs: on that block the pairs dels are removed and then adds
-    are added, endpoints included.  Each label is made once per block and
-    shared by its edges, and the single Graph is built last.
+    are added, endpoints included.  Each label is made once and all are
+    sorted once; each block index then maps to its label's position, and
+    the Graph gets the sorted position pairs.
     """
     adds, dels = adds or {}, dels or {}
     vs = {a for a, _ in pairs}.union(vs)
     us = {b for _, b in pairs}.union(us)
-    verts: list = []
-    edges: list = []
+    at: dict = {}  # class -> {index: position}, positions filled in below
+    placed = []
     for blk in set(blocks).union(adds):
         own = blk in blocks
         doomed = dels.get(blk, ())
         ps = [e for e in pairs if own and e not in doomed] + adds.get(blk, [])
-        (fv, lv), (fu, lu) = blk
-        bvs = {a for a, _ in ps}.union(vs if own else ())
-        bus = {b for _, b in ps}.union(us if own else ())
-        vl = {a: VertexLabel(fv, a, lv) for a in bvs}
-        ul = {b: VertexLabel(fu, b, lu) for b in bus}
-        verts += vl.values()
-        verts += ul.values()
-        edges += [(vl[a], ul[b]) for a, b in ps]
-    return Graph(verts, edges)
+        at_v, at_u = at.setdefault(blk[0], {}), at.setdefault(blk[1], {})
+        at_v.update(dict.fromkeys([a for a, _ in ps] + list(vs if own else ())))
+        at_u.update(dict.fromkeys([b for _, b in ps] + list(us if own else ())))
+        placed.append((at_v, at_u, ps))
+    labels = sorted(
+        (VertexLabel(f, i, layer), pos) for (f, layer), pos in at.items() for i in pos
+    )
+    for k, (v, pos) in enumerate(labels):
+        pos[v.index] = k
+    edges = set()
+    for at_v, at_u, ps in placed:
+        for a, b in ps:
+            i, j = at_v[a], at_u[b]
+            edges.add((i, j) if i < j else (j, i))
+    return Graph._trusted(tuple([v for v, _ in labels]), tuple(sorted(edges)))
 
 
 def _block(r: int) -> tuple[int, int, int, int]:
@@ -470,7 +473,8 @@ def _seed_part_pairs(part: Graph):
     if len(set(vs)) < len(vs) or len(set(us)) < len(us):
         raise PreconditionError("vertex relabeling is not injective")
     # A validated seed's edges are all u_b v_a, and u sorts before v.
-    return [(v.index, u.index) for u, v in part.edges], vs, us
+    ws = part.vertices
+    return [(ws[j].index, ws[i].index) for i, j in part.pairs], vs, us
 
 
 def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
@@ -491,8 +495,9 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
     # on the blocks of the other layer group, whose copies do NOT already
     # contain its endpoints' blocks.  A verified seed's edges run u -> v.
-    (u_b, v_a), = seed.parts[-1].edges
-    single = [(v_a.index, u_b.index)]
+    last = seed.parts[-1]
+    (i, j), = last.pairs
+    single = [(last.vertices[j].index, last.vertices[i].index)]
     xy2, yz2, zx2 = _BLOCKS_LAYER2
     relocated = ({xy2: single, zx2: single}, {yz2: single})
     h1: list[Graph] = []
@@ -518,34 +523,6 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
 
 
 # ============================================================
-# Restriction
-# ============================================================
-
-
-def restrict_decomposition(d: Decomposition, keep) -> Decomposition:
-    """Induce every part (and the target) on the vertices satisfying keep.
-
-    Edge-disjointness, coverage and planarity all survive taking induced
-    subgraphs, so the result is again a valid decomposition; the
-    guarantee is recomputed against the restricted target's own lower
-    bound since restriction can waste parts.
-    """
-    new_target = induced_subgraph(d.target, keep)
-    if new_target.num_vertices == 0:
-        raise PreconditionError("restriction removed every vertex")
-    new_parts = tuple(induced_subgraph(g, keep) for g in d.parts)
-    lower = thickness_lower_bound(new_target)
-    guarantee = OPTIMAL if len(new_parts) == lower else UPPER_BOUND_ONLY
-    return Decomposition(
-        target=new_target,
-        parts=new_parts,
-        guarantee=guarantee,
-        provenance=d.provenance,
-        figure=None,
-    )
-
-
-# ============================================================
 # Dispatcher
 # ============================================================
 
@@ -555,17 +532,14 @@ def knnn_times_k2_decomposition(n: int, seed_provider=None) -> Decomposition:
 
     Dispatch: fixtures for n in {1, 3, 5}; direct builders for n = 0, 1
     (mod 4); n = 3 (mod 4) needs a seed decomposition of K_{n,n} supplied
-    via seed_provider(p); n = 2 (mod 4) builds n+1 and restricts.  With
-    no seed provider, the seed-dependent sizes raise SeedRequiredError.
+    via seed_provider(p); n = 2 (mod 4), n = 2 included, builds n+1 and
+    induces its target and parts on the indices <= n.  With no seed
+    provider, the seed-dependent sizes raise SeedRequiredError.
     """
     if n < 1:
         raise InvalidSizeError(f"knnn_times_k2_decomposition needs n >= 1, got {n}")
     if n in _FIXTURE_SIZES:
         return knnn_times_k2_fixture(n)
-    if n == 2:
-        return restrict_decomposition(
-            knnn_times_k2_fixture(3), lambda v: v.index <= 2
-        )
     rem = n % 4
     if rem == 0:
         return knnn_times_k2_n0mod4(n // 4)
@@ -581,7 +555,10 @@ def knnn_times_k2_decomposition(n: int, seed_provider=None) -> Decomposition:
             )
         seed = seed_provider(p)
         return lemma46_assemble(p, seed)
-    # rem == 2, n >= 6: decompose K_{n+1,n+1,n+1} x K_2 and restrict.
+    # rem == 2: induce n+1 on the indices <= n.  Induced subgraphs keep the
+    # parts disjoint, covering and planar, and n/2 + 1 parts is still optimal.
     bigger = knnn_times_k2_decomposition(n + 1, seed_provider)
-    return restrict_decomposition(bigger, lambda v: v.index <= n)
+    target, *parts = [induced_subgraph(g, lambda v: v.index <= n)
+                      for g in (bigger.target, *bigger.parts)]
+    return Decomposition(target, parts, OPTIMAL, bigger.provenance)
 

@@ -10,8 +10,11 @@ graph and never mutates its inputs, so graph objects can be shared freely.
 A graph is stored on one integer core: its sorted labels and the sorted
 index pairs (i, j), i < j, of its edges.  The planarity test, the verifier,
 the oracle, the triangle test and the document reader and writer all work
-on the pairs; label edges, vertex and edge sets and the adjacency are built
-only when asked for, and then cached.
+on the pairs, and the build side hands them over too: the generators here,
+the product and the constructions make sorted pairs for Graph._trusted,
+while Graph(vertices, edges) is the checked constructor for other callers.
+Label edges, vertex and edge sets and the adjacency are built only when
+asked for, and then cached.
 """
 
 from __future__ import annotations
@@ -239,40 +242,49 @@ def int_adjacency(n: int, pairs) -> list[list[int]]:
 # ============================================================
 
 
-def _range_labels(family: Family, count: int, layer: int | None = None) -> list[VertexLabel]:
+def _range_labels(family: Family, count: int) -> list[VertexLabel]:
     if count < 1:
         raise InvalidSizeError(f"part size must be >= 1, got {count}")
-    return [VertexLabel(family, i, layer) for i in range(1, count + 1)]
+    return [VertexLabel(family, i) for i in range(1, count + 1)]
+
+
+def _multipartite(parts: list[list[VertexLabel]]) -> Graph:
+    """Complete multipartite graph on label lists given in vertex order.
+
+    Each part is a run of positions, so the pairs (a, b), a in one part and
+    b in a later one, come out sorted.
+    """
+    vs = tuple([v for part in parts for v in part])
+    ids = list(range(len(vs)))  # one int object per vertex, shared by its pairs
+    pairs: list[tuple[int, int]] = []
+    end = 0
+    for part in parts:
+        end += len(part)
+        pairs += [(a, b) for a in ids[end - len(part):end] for b in ids[end:]]
+    return Graph._trusted(vs, tuple(pairs))
 
 
 def make_complete(n: int) -> Graph:
     """Complete graph K_n on Plain-family vertices 1..n."""
-    vs = _range_labels(Family.PLAIN, n)
-    return Graph(vs, ((vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)))
+    return _multipartite([[v] for v in _range_labels(Family.PLAIN, n)])
 
 
 def make_complete_bipartite(m: int, n: int) -> Graph:
     """Complete bipartite K_{m,n}; part U has size m, part V size n."""
-    us = _range_labels(Family.U, m)
-    vs = _range_labels(Family.V, n)
-    return Graph(us + vs, ((u, v) for u in us for v in vs))
+    return _multipartite([_range_labels(Family.U, m), _range_labels(Family.V, n)])
 
 
 def make_complete_tripartite(l: int, m: int, n: int) -> Graph:
     """Complete tripartite K_{l,m,n}; parts X (size l), Y (size m), Z (size n)."""
-    xs = _range_labels(Family.X, l)
-    ys = _range_labels(Family.Y, m)
-    zs = _range_labels(Family.Z, n)
-    edges = [(a, b) for a in xs for b in ys]
-    edges += [(a, b) for a in xs for b in zs]
-    edges += [(a, b) for a in ys for b in zs]
-    return Graph(xs + ys + zs, edges)
+    return _multipartite(
+        [_range_labels(Family.X, l), _range_labels(Family.Y, m), _range_labels(Family.Z, n)]
+    )
 
 
 def make_path(n: int) -> Graph:
     """Path on n Plain-family vertices (n-1 edges)."""
     vs = _range_labels(Family.PLAIN, n)
-    return Graph(vs, ((vs[i], vs[i + 1]) for i in range(n - 1)))
+    return Graph._trusted(tuple(vs), tuple([(i, i + 1) for i in range(n - 1)]))
 
 
 def make_cycle(n: int) -> Graph:
@@ -280,7 +292,8 @@ def make_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidSizeError(f"cycle needs >= 3 vertices, got {n}")
     vs = _range_labels(Family.PLAIN, n)
-    return Graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
+    pairs = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
+    return Graph._trusted(tuple(vs), tuple(pairs))
 
 
 # ============================================================

@@ -219,10 +219,12 @@ def find_planar_partition(
 
     part_graphs = []
     for pe in parts:
-        endpoints = {verts[i] for ab in pe for i in ab}
-        part_graphs.append(Graph(endpoints, [(verts[a], verts[b]) for a, b in pe]))
+        ends = sorted({i for ab in pe for i in ab})
+        new = {i: k for k, i in enumerate(ends)}  # keeps every pair (i, j), i < j
+        pairs = sorted([(new[a], new[b]) for a, b in pe])
+        part_graphs.append(Graph._trusted(tuple([verts[i] for i in ends]), tuple(pairs)))
     if forced is not None:
-        part_graphs.append(Graph(set(forced), [forced]))
+        part_graphs.append(Graph._trusted(forced, ((0, 1),)))
     d = Decomposition(
         target=g,
         parts=tuple(part_graphs),

@@ -4,6 +4,9 @@
 cd is an edge of H, so |E(G x H)| = 2 |E(G)| |E(H)|.  When the right factor
 is the plain two-vertex complete graph, product vertices (v, k) are flattened
 to the label v with layer k; general products keep explicit label pairs.
+Either way (g[i], h[k]) sorts to position iH + k, H = |V(h)|, so the
+product is built on index pairs alone: g-pair (i, j) and h-pair (k, l) give
+(iH + k, jH + l) and (iH + l, jH + k), sorted once.
 """
 
 from __future__ import annotations
@@ -21,42 +24,36 @@ from .graphs import (
 )
 
 
-def _is_plain_k2(h: Graph) -> bool:
-    vs = h.vertices
-    return (
-        len(vs) == 2
-        and h.num_edges == 1
-        and all(
-            isinstance(v, VertexLabel)
-            and v.family is Family.PLAIN
-            and not v.layer
-            for v in vs
-        )
-        and {v.index for v in vs} == {1, 2}
-    )
+_PLAIN_K2 = (VertexLabel(Family.PLAIN, 1), VertexLabel(Family.PLAIN, 2))
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
-    """Kronecker product of g and h; both factors need a non-empty vertex set."""
+    """Kronecker product of g and h; both factors need a non-empty vertex set.
+
+    Neither factor may have pair vertices: a pair of pairs is not a vertex
+    that documents can hold.
+    """
     if g.num_vertices == 0 or h.num_vertices == 0:
         raise PreconditionError("kronecker_product needs non-empty vertex sets")
-    flatten = _is_plain_k2(h) and all(
-        isinstance(v, VertexLabel) and not v.layer for v in g.vertices
-    )
-    if flatten:
-        def mk(a, c):
-            return a.with_layer(c.index)
+    if not all(isinstance(v, VertexLabel) for v in g.vertices + h.vertices):
+        raise PreconditionError("kronecker_product factors cannot have pair vertices")
+    flatten = h.vertices == _PLAIN_K2 and h.num_edges == 1
+    if flatten and not any(v.layer for v in g.vertices):
+        vs = [a.with_layer(c) for a in g.vertices for c in (1, 2)]
     else:
-        def mk(a, c):
-            return ProductVertex(a, c)
-    # One object per product vertex, shared by all of its edges, saves memory.
-    pv = {(a, c): mk(a, c) for a in g.vertices for c in h.vertices}
-    edges = []
-    for a, b in g.edges:
-        for c, d in h.edges:
-            edges.append((pv[a, c], pv[b, d]))
-            edges.append((pv[a, d], pv[b, c]))
-    return Graph(pv.values(), edges)
+        vs = [ProductVertex(a, c) for a in g.vertices for c in h.vertices]
+    # at[i][k] is the position of (g[i], h[k]), one int object per vertex
+    # shared by all of its pairs; i < j keeps each pair ordered.
+    nh = h.num_vertices
+    at = [list(range(i * nh, i * nh + nh)) for i in range(g.num_vertices)]
+    pairs = []
+    for i, j in g.pairs:
+        ai, aj = at[i], at[j]
+        for k, l in h.pairs:
+            pairs.append((ai[k], aj[l]))
+            pairs.append((ai[l], aj[k]))
+    pairs.sort()
+    return Graph._trusted(tuple(vs), tuple(pairs))
 
 
 def times_k2(g: Graph) -> Graph:

@@ -27,7 +27,6 @@ from kronthick.constructions import (
     knnn_times_k2_n0mod4,
     knnn_times_k2_n1mod4,
     lemma46_assemble,
-    restrict_decomposition,
 )
 from kronthick.errors import SeedRequiredError
 from kronthick.graphs import (
@@ -327,7 +326,8 @@ def test_criterion_10_seeded_assembly():
     d7 = lemma46_assemble(1, seed)
     assert d7.num_parts == 4 == theta_knnn_times_k2(7)
     assert verify_decomposition(d7.target, d7.parts, lower=4).passed
-    d6 = restrict_decomposition(d7, lambda v: v.index <= 6)
+    # n = 6 goes through the dispatcher, which builds n = 7 and restricts
+    d6 = knnn_times_k2_decomposition(6, seed_provider=lambda p: seed)
     assert d6.num_parts == 4 == theta_knnn_times_k2(6)
     assert verify_decomposition(d6.target, d6.parts, lower=4).passed
     # the documented error path stays intact: no implicit seed loading

@@ -90,6 +90,21 @@ def test_product_missing_file(capsys):
     assert run(capsys, "product", "kn:3", "file:/nonexistent.json")[0] == 3
 
 
+def test_product_of_a_product_file_exits_2(capsys, tmp_path):
+    # A pair of pairs is no vertex a document can hold, so the product of
+    # a general product writes nothing instead of a file `product` rejects.
+    code, out = run(capsys, "product", "cycle:3", "kn:3")
+    assert code == 0
+    path = tmp_path / "product.json"
+    path.write_text(out)
+    for argv in (["product", f"file:{path}", "kn:2"], ["product", "kn:2", f"file:{path}"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "pair vertices" in captured.err
+
+
 # ============================================================
 # decompose
 # ============================================================
@@ -229,6 +244,24 @@ def test_decompose_output_byte_stable(capsys, case):
     code, out = run(capsys, "decompose", family, n, *(["--seed", SEED_PATH] if seed else []))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _DECOMPOSE_SHA256[case]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kn_x_k2", "64"], ["knn", "16"], ["knnn_x_k2", "41"], ["knnn_x_k2", "7", "--seed", SEED_PATH]],
+    ids=["kn_x_k2-64", "knn-16", "knnn_x_k2-41", "knnn_x_k2-7-seed"],
+)
+def test_decompose_builds_no_label_edges(monkeypatch, capsys, argv):
+    expected = run(capsys, "decompose", *argv)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("decompose built a graph from label edges")
+
+    monkeypatch.setattr(Graph, "__init__", forbidden)
+    for name in ("edges", "edge_set", "adjacency"):
+        monkeypatch.setattr(Graph, name, property(forbidden))
+    assert run(capsys, "decompose", *argv) == expected
+    assert expected[0] == 0
 
 
 def test_decompose_usage_errors(capsys):

@@ -24,7 +24,6 @@ from kronthick.constructions import (
     knnn_times_k2_n0mod4,
     knnn_times_k2_n1mod4,
     lemma46_assemble,
-    restrict_decomposition,
     validate_seed,
 )
 from kronthick.errors import (
@@ -38,6 +37,7 @@ from kronthick.graphs import (
     Graph,
     VertexLabel,
     components,
+    induced_subgraph,
     make_complete,
     make_complete_bipartite,
     make_complete_tripartite,
@@ -132,9 +132,10 @@ def test_kn_times_k2_rejects_n1():
 
 def test_odd_case_restricts_even_case():
     even = kn_times_k2_decomposition(6)
-    odd = restrict_decomposition(even, lambda v: v.index <= 5)
-    assert odd.target == times_k2(make_complete(5))
-    assert verify_decomposition(odd.target, odd.parts).passed
+    odd = [induced_subgraph(g, lambda v: v.index <= 5) for g in even.parts]
+    assert verify_decomposition(times_k2(make_complete(5)), odd).passed
+    built = kn_times_k2_decomposition(5).parts
+    assert [g.edge_set for g in odd] == [g.edge_set for g in built]
 
 
 # ============================================================
@@ -190,13 +191,13 @@ def test_isolated_seed_vertex_is_placed_on_its_copies():
 )
 def test_each_part_is_built_once(monkeypatch, build, n, built):
     graphs = []
-    init = Graph.__init__
+    trusted = Graph._trusted
 
-    def counting_init(self, *args, **kwargs):
-        graphs.append(self)
-        init(self, *args, **kwargs)
+    def counting_trusted(vertices, pairs):
+        graphs.append(trusted(vertices, pairs))
+        return graphs[-1]
 
-    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(Graph, "_trusted", counting_trusted)
     d = build(n)
     # The returned parts and target, plus the target's two factors.
     assert len(graphs) == built == d.num_parts + 3
@@ -356,9 +357,11 @@ def test_lemma46_relocated_edges_appear_once():
 
 def test_restriction_to_n6():
     d7 = lemma46_assemble(1, bundled_seed())
-    d6 = restrict_decomposition(d7, lambda v: v.index <= 6)
+    d6 = knnn_times_k2_decomposition(6, seed_provider=lambda p: bundled_seed())
+    assert d6.parts == tuple(induced_subgraph(g, lambda v: v.index <= 6) for g in d7.parts)
     assert d6.num_parts == 4 == theta_knnn_times_k2(6)
     assert d6.target == times_k2(make_complete_tripartite(6, 6, 6))
+    assert (d6.guarantee, d6.provenance, d6.figure) == (OPTIMAL, d7.provenance, None)
     assert verify_decomposition(d6.target, d6.parts, lower=4).passed
 
 
@@ -433,21 +436,8 @@ def test_dispatcher_uses_provided_seed():
 
 
 # ============================================================
-# Restriction and the decomposition record
+# The decomposition record
 # ============================================================
-
-
-def test_restrict_keep_everything_is_identity():
-    d = kn_times_k2_decomposition(8)
-    same = restrict_decomposition(d, lambda v: True)
-    assert same.target == d.target
-    assert same.parts == d.parts
-
-
-def test_restrict_to_nothing_raises():
-    d = kn_times_k2_decomposition(8)
-    with pytest.raises(PreconditionError):
-        restrict_decomposition(d, lambda v: False)
 
 
 def test_decomposition_record_shape():

@@ -70,6 +70,25 @@ def test_path_cycle_shapes():
     assert all(c.degree(v) == 2 for v in c.vertices)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generators_match_label_edge_graphs(n):
+    def labels(family, count):
+        return [VertexLabel(family, i) for i in range(1, count + 1)]
+
+    ps = labels(Family.PLAIN, n)
+    assert make_complete(n) == Graph(ps, [(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]])
+    assert make_path(n) == Graph(ps, zip(ps, ps[1:]))
+    if n >= 3:
+        assert make_cycle(n) == Graph(ps, zip(ps, ps[1:] + ps[:1]))
+    us, vs = labels(Family.U, n), labels(Family.V, 7 - n)
+    assert make_complete_bipartite(n, 7 - n) == Graph(us + vs, [(u, v) for u in us for v in vs])
+    xs, ys, zs = labels(Family.X, n), labels(Family.Y, 7 - n), labels(Family.Z, 1 + n % 3)
+    assert make_complete_tripartite(n, 7 - n, 1 + n % 3) == Graph(
+        xs + ys + zs,
+        [(a, b) for a in xs for b in ys + zs] + [(a, b) for a in ys for b in zs],
+    )
+
+
 def test_generators_reject_bad_sizes():
     with pytest.raises(Exception):
         make_complete(0)

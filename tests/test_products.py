@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kronthick.errors import PreconditionError
 from kronthick.graphs import (
     Family,
     Graph,
+    ProductVertex,
     VertexLabel,
     bipartition,
     components,
@@ -55,6 +57,42 @@ def test_product_edge_count_formula():
     prod = kronecker_product(g, h)
     assert prod.num_vertices == g.num_vertices * h.num_vertices
     assert prod.num_edges == 2 * g.num_edges * h.num_edges
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Up to five labels of any family and layer, any edge set."""
+    fields = st.tuples(st.sampled_from(Family), st.integers(1, 3), st.sampled_from([None, 1, 2]))
+    verts = sorted({VertexLabel(*f) for f in draw(st.lists(fields, min_size=1, max_size=5))})
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph(verts, picked)
+
+
+@given(labelled_graphs(), st.one_of(labelled_graphs(), st.just(make_complete(2))))
+@example(make_complete(3), make_complete(2))
+@example(make_cycle(3), make_complete_bipartite(1, 2))
+def test_product_matches_definition(g, h):
+    # (a, c) ~ (b, d) iff ab in E(g) and cd in E(h), on label edges;
+    # a layerless g times the plain K_2 flattens (a, c) to a with layer c.
+    flatten = h == make_complete(2) and not any(v.layer for v in g.vertices)
+
+    def pv(a, c):
+        return a.with_layer(c.index) if flatten else ProductVertex(a, c)
+
+    edges = [(pv(a, c), pv(b, d)) for a, b in g.edges for c, d in h.edges]
+    edges += [(pv(a, d), pv(b, c)) for a, b in g.edges for c, d in h.edges]
+    prod = kronecker_product(g, h)
+    assert prod == Graph([pv(a, c) for a in g.vertices for c in h.vertices], edges)
+    assert list(prod.vertices) == sorted(prod.vertices)
+    assert prod.num_edges == 2 * g.num_edges * h.num_edges
+
+
+def test_product_rejects_pair_vertex_factors():
+    pair = kronecker_product(make_cycle(3), make_complete(3))
+    for g, h in ((pair, make_complete(2)), (make_complete(2), pair)):
+        with pytest.raises(PreconditionError):
+            kronecker_product(g, h)
 
 
 # ============================================================
