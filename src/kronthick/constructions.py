@@ -89,10 +89,6 @@ class Decomposition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
 
 # ============================================================
 # Placing index pairs on label blocks

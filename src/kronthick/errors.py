@@ -11,10 +11,6 @@ class InvalidSizeError(KronthickError):
     """A graph generator was asked for a part of size zero or less."""
 
 
-class MissingEdgeError(KronthickError):
-    """remove_edges was asked to delete an edge the graph does not have."""
-
-
 class PreconditionError(KronthickError):
     """An operation was called outside its stated domain."""
 

@@ -13,21 +13,15 @@ the oracle, the triangle test and the document reader and writer all work
 on the pairs, and the build side hands them over too: the generators here,
 the product and the constructions make sorted pairs for Graph._trusted,
 while Graph(vertices, edges) is the checked constructor for other callers.
-Label edges, vertex and edge sets and the adjacency are built only when
-asked for, and then cached.
+Label edges are built only when asked for, and then cached.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import NamedTuple
 
-from .errors import (
-    InvalidSizeError,
-    MissingEdgeError,
-    PreconditionError,
-)
+from .errors import InvalidSizeError, PreconditionError
 
 
 class Family(enum.IntEnum):
@@ -129,12 +123,12 @@ class Graph:
     """Immutable simple graph on symbolic vertex labels.
 
     vertices is the sorted label tuple and pairs the sorted tuple of index
-    pairs (i, j), i < j, one per edge; everything else is derived from them
-    on first use and cached.  Pairs and label edges come out in the same
+    pairs (i, j), i < j, one per edge; label edges are derived from them on
+    first use and cached.  Pairs and label edges come out in the same
     order, so iteration is deterministic and reproducible across runs.
     """
 
-    __slots__ = ("_vertices", "_pairs", "_edges", "_vertex_set", "_edge_set", "_adj")
+    __slots__ = ("_vertices", "_pairs", "_edges")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(sorted(set(vertices)))
@@ -162,7 +156,7 @@ class Graph:
     def _init(self, vertices: tuple, pairs: tuple) -> None:
         self._vertices = vertices
         self._pairs = pairs
-        self._edges = self._vertex_set = self._edge_set = self._adj = None
+        self._edges = None
 
     @property
     def vertices(self) -> tuple:
@@ -182,38 +176,12 @@ class Graph:
         return self._edges
 
     @property
-    def vertex_set(self) -> frozenset:
-        if self._vertex_set is None:
-            self._vertex_set = frozenset(self._vertices)
-        return self._vertex_set
-
-    @property
-    def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        return self._edge_set
-
-    @property
     def num_vertices(self) -> int:
         return len(self._vertices)
 
     @property
     def num_edges(self) -> int:
         return len(self._pairs)
-
-    @property
-    def adjacency(self) -> dict:
-        """vertex -> tuple of neighbors, sorted; built once, then cached."""
-        if self._adj is None:
-            vs = self._vertices
-            self._adj = {
-                v: tuple([vs[j] for j in ns])
-                for v, ns in zip(vs, int_adjacency(len(vs), self._pairs))
-            }
-        return self._adj
-
-    def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -226,15 +194,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
-
-
-def int_adjacency(n: int, pairs) -> list[list[int]]:
-    """Neighbor lists of vertices 0..n-1; ascending when pairs are sorted."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
 
 
 # ============================================================
@@ -301,21 +260,6 @@ def make_cycle(n: int) -> Graph:
 # ============================================================
 
 
-def graph_union(a: Graph, b: Graph) -> Graph:
-    """Union of vertex sets and edge sets; equal labels denote equal vertices."""
-    return Graph(a.vertex_set | b.vertex_set, a.edge_set | b.edge_set)
-
-
-def remove_edges(g: Graph, edges) -> Graph:
-    """Drop the given edges; every one of them must be present in g."""
-    doomed = {edge(a, b) for a, b in edges}
-    missing = doomed - g.edge_set
-    if missing:
-        sample = min(missing)
-        raise MissingEdgeError(f"edge not in graph: {sample[0].name}-{sample[1].name}")
-    return Graph(g.vertex_set, g.edge_set - doomed)
-
-
 def induced_subgraph(g: Graph, keep) -> Graph:
     """Subgraph induced by the vertices v for which keep(v) is true."""
     new = [-1] * g.num_vertices
@@ -339,66 +283,3 @@ def is_triangle_free(g: Graph) -> bool:
     for a, b in g.pairs:
         masks[a] |= 1 << b
     return not any(masks[a] & masks[b] for a, b in g.pairs)
-
-
-def components(g: Graph) -> list[Graph]:
-    """Maximal connected subgraphs, ordered by their smallest vertex label."""
-    seen: set = set()
-    out: list[Graph] = []
-    adj = g.adjacency
-    for start in g.vertices:  # sorted, so components come out ordered
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        out.append(induced_subgraph(g, comp.__contains__))
-    return out
-
-
-def bipartition(g: Graph) -> tuple[frozenset, frozenset] | None:
-    """2-coloring of g if one exists, else None; sides may be empty."""
-    color: dict = {}
-    adj = g.adjacency
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = frozenset(v for v, c in color.items() if c == 0)
-    return (side0, g.vertex_set - side0)
-
-
-def identify_complete_bipartite(g: Graph) -> tuple[int, int] | None:
-    """Part sizes (m, n) iff g is a complete bipartite graph, else None.
-
-    The side containing the smallest vertex label is reported first.
-    """
-    if g.num_vertices == 0 or g.num_edges == 0:
-        return None
-    if len(components(g)) != 1:
-        return None
-    parts = bipartition(g)
-    if parts is None:
-        return None
-    a, b = parts
-    if g.num_edges != len(a) * len(b):
-        return None
-    first = g.vertices[0]
-    if first in a:
-        return (len(a), len(b))
-    return (len(b), len(a))

@@ -201,9 +201,9 @@ def find_planar_partition(
     if force_single_edge is not None:
         a, b = force_single_edge
         forced = edge(a, b)
-        if forced not in g.edge_set:
+        forced_pair = tuple([verts.index(v) for v in forced if v in verts])
+        if forced_pair not in g.pairs:
             raise PreconditionError("forced edge is not an edge of the target")
-        forced_pair = tuple(map(verts.index, forced))
         search_pairs = [e for e in search_pairs if e != forced_pair]
         inner_k = k - 1
         if inner_k < 1 and search_pairs:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructuralViolationError
-from .graphs import Graph, int_adjacency
+from .graphs import Graph
 
 
 def euler_max_edges(v: int, triangle_free: bool = False) -> int:
@@ -357,6 +357,15 @@ def _is_plane_rotation(adj: list[list[int]], order) -> bool:
     return faces - sum(map(len, adj)) // 2 + n == components
 
 
+def _neighbor_lists(n: int, pairs) -> list[list[int]]:
+    """Neighbor lists of vertices 0..n-1; ascending when pairs are sorted."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 # ============================================================
 # Public entry point
 # ============================================================
@@ -365,7 +374,7 @@ def _is_plane_rotation(adj: list[list[int]], order) -> bool:
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Exact planarity decision; planar verdicts carry a checked embedding."""
     verts = g.vertices
-    adj = int_adjacency(len(verts), g.pairs)  # sorted pairs: ascending neighbors
+    adj = _neighbor_lists(len(verts), g.pairs)  # sorted pairs: ascending neighbors
     ok, order = _lr_core(len(verts), adj, want_embedding=True)
     if not ok:
         return PlanarityVerdict(planar=False)
@@ -385,9 +394,5 @@ def is_planar_edge_list(n: int, edges: list[tuple[int, int]]) -> bool:
     direction).  Such inputs are not rejected, and the verdict on them is
     meaningless.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    ok, _ = _lr_core(n, adj, want_embedding=False)
+    ok, _ = _lr_core(n, _neighbor_lists(n, edges), want_embedding=False)
     return ok

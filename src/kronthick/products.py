@@ -17,8 +17,7 @@ from .graphs import (
     Graph,
     ProductVertex,
     VertexLabel,
-    components,
-    identify_complete_bipartite,
+    induced_subgraph,
     make_complete,
     make_complete_bipartite,
 )
@@ -64,26 +63,16 @@ def times_k2(g: Graph) -> Graph:
 def bipartite_factor_split(m: int, n: int, p: int, q: int) -> tuple[Graph, Graph]:
     """The two complete bipartite components of K_{m,n} x K_{p,q}.
 
-    Returns (K_{mp,nq}, K_{mq,np}); the component containing the product of
-    the two first-part vertices comes first.  Sizes are re-derived from the
-    components themselves and checked, not assumed.
+    Returns (K_{mp,nq}, K_{mq,np}): the graphs induced on the product
+    vertices whose two labels share a family, which hold (u_1, u_1), and on
+    those whose labels do not.  Edge counts are checked, not assumed.
     """
-    g = make_complete_bipartite(m, n)
-    h = make_complete_bipartite(p, q)
-    prod = kronecker_product(g, h)
-    comps = components(prod)
-    if len(comps) != 2:
+    prod = kronecker_product(make_complete_bipartite(m, n), make_complete_bipartite(p, q))
+    first = induced_subgraph(prod, lambda v: v.left.family == v.right.family)
+    second = induced_subgraph(prod, lambda v: v.left.family != v.right.family)
+    got = (first.num_edges, second.num_edges)
+    if got != (m * p * n * q, m * q * n * p) or sum(got) != prod.num_edges:
         raise StructuralViolationError(
-            f"product of complete bipartite graphs split into {len(comps)} components"
-        )
-    anchor = ProductVertex(VertexLabel(Family.U, 1), VertexLabel(Family.U, 1))
-    if anchor in comps[0].vertex_set:
-        first, second = comps
-    else:
-        second, first = comps
-    got = (identify_complete_bipartite(first), identify_complete_bipartite(second))
-    if got != ((m * p, n * q), (m * q, n * p)):
-        raise StructuralViolationError(
-            f"components are not the expected complete bipartite graphs: {got}"
+            f"product of complete bipartite graphs split into {got} of {prod.num_edges} edges"
         )
     return first, second

@@ -36,7 +36,6 @@ from kronthick.graphs import (
     Family,
     Graph,
     VertexLabel,
-    components,
     induced_subgraph,
     make_complete,
     make_complete_bipartite,
@@ -45,6 +44,13 @@ from kronthick.graphs import (
 from kronthick.products import times_k2
 from kronthick.serialize import load_json, seed_from_document
 from kronthick.verification import OPTIMAL, verify_decomposition
+
+
+def _nx_graph(g: Graph):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(g.vertices)
+    return nx, h
 
 
 def bundled_seed():
@@ -64,7 +70,7 @@ def bundled_seed():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_chen_yin_verifies(p):
     d = chen_yin_k4p4p(p)
-    assert d.num_parts == p + 1
+    assert len(d.parts) == p + 1
     assert d.target == make_complete_bipartite(4 * p, 4 * p)
     report = verify_decomposition(d.target, d.parts, lower=theta_knn(4 * p))
     assert report.passed
@@ -104,13 +110,13 @@ def test_chen_yin_rejects_p0():
 @pytest.mark.parametrize("n", range(2, 17))
 def test_kn_times_k2_optimal(n):
     d = kn_times_k2_decomposition(n)
-    assert d.num_parts == theta_kn_times_k2(n)
-    report = verify_decomposition(d.target, d.parts, lower=d.num_parts)
+    assert len(d.parts) == theta_kn_times_k2(n)
+    report = verify_decomposition(d.target, d.parts, lower=len(d.parts))
     assert report.passed
 
 
 def test_kn_times_k2_n2_single_part():
-    assert kn_times_k2_decomposition(2).num_parts == 1
+    assert len(kn_times_k2_decomposition(2).parts) == 1
 
 
 def test_kn_times_k2_n6_part_sizes():
@@ -121,7 +127,7 @@ def test_kn_times_k2_n6_part_sizes():
 
 def test_kn_times_k2_n5_two_parts():
     d = kn_times_k2_decomposition(5)
-    assert d.num_parts == 2
+    assert len(d.parts) == 2
     assert verify_decomposition(d.target, d.parts).passed
 
 
@@ -135,7 +141,7 @@ def test_odd_case_restricts_even_case():
     odd = [induced_subgraph(g, lambda v: v.index <= 5) for g in even.parts]
     assert verify_decomposition(times_k2(make_complete(5)), odd).passed
     built = kn_times_k2_decomposition(5).parts
-    assert [g.edge_set for g in odd] == [g.edge_set for g in built]
+    assert [g.edges for g in odd] == [g.edges for g in built]
 
 
 # ============================================================
@@ -158,7 +164,7 @@ def test_three_block_copies_are_vertex_disjoint():
 def _seed_with_extra_vertex(extra):
     seed = bundled_seed()
     first = seed.parts[0]
-    part = Graph(first.vertex_set | {extra}, first.edges)
+    part = Graph(first.vertices + (extra,), first.edges)
     return replace(seed, parts=(part,) + seed.parts[1:])
 
 
@@ -171,13 +177,13 @@ def test_isolated_seed_vertex_is_placed_on_its_copies():
     base = lemma46_assemble(1, bundled_seed())
     d = lemma46_assemble(1, _seed_with_extra_vertex(VertexLabel(Family.U, 8)))
     added = [
-        sorted(v.name for v in g.vertex_set - h.vertex_set)
+        sorted(v.name for v in set(g.vertices) - set(h.vertices))
         for g, h in zip(d.parts, base.parts)
     ]
     assert added == [["x2_8", "y2_8", "z2_8"], [], ["x1_8", "y1_8", "z1_8"], []]
     for g, h in zip(d.parts, base.parts):
-        assert h.vertex_set <= g.vertex_set
-        assert g.edge_set == h.edge_set
+        assert set(h.vertices) <= set(g.vertices)
+        assert g.edges == h.edges
 
 
 @pytest.mark.parametrize(
@@ -200,7 +206,7 @@ def test_each_part_is_built_once(monkeypatch, build, n, built):
     monkeypatch.setattr(Graph, "_trusted", counting_trusted)
     d = build(n)
     # The returned parts and target, plus the target's two factors.
-    assert len(graphs) == built == d.num_parts + 3
+    assert len(graphs) == built == len(d.parts) + 3
 
 
 # ============================================================
@@ -212,20 +218,20 @@ def test_each_part_is_built_once(monkeypatch, build, n, built):
 def test_n0mod4_verifies(p):
     n = 4 * p
     d = knnn_times_k2_n0mod4(p)
-    assert d.num_parts == 2 * p + 1 == theta_knnn_times_k2(n)
-    report = verify_decomposition(d.target, d.parts, lower=d.num_parts)
+    assert len(d.parts) == 2 * p + 1 == theta_knnn_times_k2(n)
+    report = verify_decomposition(d.target, d.parts, lower=len(d.parts))
     assert report.passed
     assert sum(g.num_edges for g in d.parts) == 6 * n * n
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_n0mod4_final_part_is_disjoint_six_cycles(p):
-    last = knnn_times_k2_n0mod4(p).parts[-1]
-    comps = components(last)
+    nx, h = _nx_graph(knnn_times_k2_n0mod4(p).parts[-1])
+    comps = list(nx.connected_components(h))
     assert len(comps) == 4 * p
     for c in comps:
-        assert c.num_vertices == 6 and c.num_edges == 6
-        assert all(c.degree(v) == 2 for v in c.vertices)
+        assert len(c) == 6 and h.subgraph(c).number_of_edges() == 6
+    assert all(d == 2 for _, d in h.degree)
 
 
 # ============================================================
@@ -237,8 +243,8 @@ def test_n0mod4_final_part_is_disjoint_six_cycles(p):
 def test_n1mod4_verifies(p):
     n = 4 * p + 1
     d = knnn_times_k2_n1mod4(p)
-    assert d.num_parts == 2 * p + 1 == theta_knnn_times_k2(n)
-    report = verify_decomposition(d.target, d.parts, lower=d.num_parts)
+    assert len(d.parts) == 2 * p + 1 == theta_knnn_times_k2(n)
+    report = verify_decomposition(d.target, d.parts, lower=len(d.parts))
     assert report.passed
 
 
@@ -258,7 +264,7 @@ def test_n1mod4_rejects_p1():
 )
 def test_fixtures_verify(n, parts, edges):
     d = knnn_times_k2_fixture(n)
-    assert d.num_parts == parts == theta_knnn_times_k2(n)
+    assert len(d.parts) == parts == theta_knnn_times_k2(n)
     assert sum(g.num_edges for g in d.parts) == edges
     assert verify_decomposition(d.target, d.parts, lower=parts).passed
     assert d.guarantee == OPTIMAL
@@ -268,7 +274,8 @@ def test_fixture_n1_is_a_six_cycle():
     d = knnn_times_k2_fixture(1)
     part = d.parts[0]
     assert part.num_vertices == 6 and part.num_edges == 6
-    assert len(components(part)) == 1
+    nx, h = _nx_graph(part)
+    assert nx.is_connected(h)
 
 
 def test_fixture_rejects_other_sizes():
@@ -318,7 +325,7 @@ def _split_second_part(seed):
 def _move_edge_to_last_part(seed):
     first, second, last = seed.parts
     moved = second.edges[0]
-    last = Graph(last.vertex_set | set(moved), last.edges + (moved,))
+    last = Graph(last.vertices + moved, last.edges + (moved,))
     return replace(seed, parts=(first, _without_first_edge(second), last))
 
 
@@ -343,7 +350,7 @@ def test_validate_seed_rejects_defect(defect):
 
 def test_lemma46_assembles_four_parts():
     d = lemma46_assemble(1, bundled_seed())
-    assert d.num_parts == 4 == theta_knnn_times_k2(7)
+    assert len(d.parts) == 4 == theta_knnn_times_k2(7)
     assert d.target == times_k2(make_complete_tripartite(7, 7, 7))
     assert verify_decomposition(d.target, d.parts, lower=4).passed
 
@@ -351,7 +358,7 @@ def test_lemma46_assembles_four_parts():
 def test_lemma46_relocated_edges_appear_once():
     d = lemma46_assemble(1, bundled_seed())
     total = sum(g.num_edges for g in d.parts)
-    distinct = len(frozenset().union(*(g.edge_set for g in d.parts)))
+    distinct = len(set().union(*(g.edges for g in d.parts)))
     assert total == distinct == d.target.num_edges
 
 
@@ -359,7 +366,7 @@ def test_restriction_to_n6():
     d7 = lemma46_assemble(1, bundled_seed())
     d6 = knnn_times_k2_decomposition(6, seed_provider=lambda p: bundled_seed())
     assert d6.parts == tuple(induced_subgraph(g, lambda v: v.index <= 6) for g in d7.parts)
-    assert d6.num_parts == 4 == theta_knnn_times_k2(6)
+    assert len(d6.parts) == 4 == theta_knnn_times_k2(6)
     assert d6.target == times_k2(make_complete_tripartite(6, 6, 6))
     assert (d6.guarantee, d6.provenance, d6.figure) == (OPTIMAL, d7.provenance, None)
     assert verify_decomposition(d6.target, d6.parts, lower=4).passed
@@ -395,7 +402,7 @@ def _layer_swap(g: Graph) -> Graph:
 )
 def test_layer2_parts_are_layer_swaps_of_layer1(build):
     d = build()
-    half = d.num_parts // 2
+    half = len(d.parts) // 2
     for g, h in zip(d.parts[:half], d.parts[half:2 * half]):
         assert g != h
         assert _layer_swap(g) == h
@@ -412,13 +419,13 @@ def test_layer2_parts_are_layer_swaps_of_layer1(build):
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 12, 13])
 def test_dispatcher_covers_constructive_sizes(n):
     d = knnn_times_k2_decomposition(n)
-    assert d.num_parts == theta_knnn_times_k2(n)
-    assert verify_decomposition(d.target, d.parts, lower=d.num_parts).passed
+    assert len(d.parts) == theta_knnn_times_k2(n)
+    assert verify_decomposition(d.target, d.parts, lower=len(d.parts)).passed
 
 
 def test_dispatcher_n2_restricts_the_n3_fixture():
     d = knnn_times_k2_decomposition(2)
-    assert d.num_parts == 2 == theta_knnn_times_k2(2)
+    assert len(d.parts) == 2 == theta_knnn_times_k2(2)
     assert d.target == times_k2(make_complete_tripartite(2, 2, 2))
     assert verify_decomposition(d.target, d.parts, lower=2).passed
 
@@ -431,7 +438,7 @@ def test_dispatcher_requires_seed_for_2_3_mod_4(n):
 
 def test_dispatcher_uses_provided_seed():
     d = knnn_times_k2_decomposition(7, seed_provider=lambda p: bundled_seed())
-    assert d.num_parts == 4
+    assert len(d.parts) == 4
     assert verify_decomposition(d.target, d.parts, lower=4).passed
 
 
@@ -443,6 +450,5 @@ def test_dispatcher_uses_provided_seed():
 def test_decomposition_record_shape():
     d = chen_yin_k4p4p(1)
     assert isinstance(d, Decomposition)
-    assert d.num_parts == len(d.parts)
     assert isinstance(d.parts, tuple)
     assert d.provenance

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -13,11 +14,7 @@ from kronthick.graphs import (
     Graph,
     ProductVertex,
     VertexLabel,
-    bipartition,
-    components,
     edge,
-    graph_union,
-    identify_complete_bipartite,
     induced_subgraph,
     is_triangle_free,
     make_complete,
@@ -25,10 +22,21 @@ from kronthick.graphs import (
     make_complete_tripartite,
     make_cycle,
     make_path,
-    remove_edges,
 )
 from kronthick.planarity import is_planar
-from kronthick.products import kronecker_product, times_k2
+from kronthick.products import bipartite_factor_split, kronecker_product, times_k2
+
+
+def _degrees(g: Graph) -> Counter:
+    return Counter(v for e in g.edges for v in e)
+
+
+def _nx_graph(g: Graph):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(g.vertices)
+    return nx, h
+
 
 # ============================================================
 # Generators
@@ -67,7 +75,7 @@ def test_path_cycle_shapes():
     assert p.num_vertices == 3 and p.num_edges == 2
     c = make_cycle(6)
     assert c.num_vertices == 6 and c.num_edges == 6
-    assert all(c.degree(v) == 2 for v in c.vertices)
+    assert _degrees(c) == dict.fromkeys(c.vertices, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -157,8 +165,7 @@ def test_vertex_order_contract():
     assert [f"{a.name}-{b.name}" for a, b in g.edges] == _CONTRACT_EDGES
     flipped = Graph(reversed(order), [(b, a) for a, b in reversed(edges)])
     assert (flipped.vertices, flipped.edges) == (g.vertices, g.edges)
-    for v, nbrs in g.adjacency.items():
-        assert list(nbrs) == sorted(nbrs)
+    assert list(g.pairs) == sorted(g.pairs) and all(i < j for i, j in g.pairs)
 
 
 def test_layerless_label_differs_from_layered():
@@ -200,34 +207,22 @@ def test_vertex_and_edge_order_deterministic():
 
 
 # ============================================================
-# Union, removal, induced subgraphs
+# Union and removal through the constructor, induced subgraphs
 # ============================================================
 
 
 def test_union_identity_and_idempotence():
     a = make_complete(4)
-    empty = Graph(a.vertices, [])
-    assert graph_union(a, empty) == a
-    assert graph_union(a, a) == a
+    assert Graph(a.vertices, a.edges + ()) == a
+    assert Graph(a.vertices + a.vertices, a.edges + a.edges) == a
 
 
 def test_union_is_commutative():
     a = make_path(4)
     b = make_cycle(5)
-    assert graph_union(a, b) == graph_union(b, a)
-
-
-def test_remove_all_edges():
-    g = make_complete(5)
-    assert remove_edges(g, g.edges).num_edges == 0
-
-
-def test_remove_missing_edge_raises():
-    g = make_path(3)
-    k5 = make_complete(5)
-    missing = [e for e in k5.edges if e not in g.edge_set][0]
-    with pytest.raises(Exception):
-        remove_edges(g, [missing])
+    assert Graph(a.vertices + b.vertices, a.edges + b.edges) == Graph(
+        b.vertices + a.vertices, b.edges + a.edges
+    )
 
 
 def test_crown_graph_from_k44():
@@ -235,9 +230,9 @@ def test_crown_graph_from_k44():
     left = sorted(v for v in k44.vertices if v.family == Family.U)
     right = sorted(v for v in k44.vertices if v.family == Family.V)
     matching = [edge(a, b) for a, b in zip(left, right)]
-    crown = remove_edges(k44, matching)
+    crown = Graph(k44.vertices, [e for e in k44.edges if e not in matching])
     assert crown.num_edges == 12
-    assert all(crown.degree(v) == 3 for v in crown.vertices)
+    assert _degrees(crown) == dict.fromkeys(crown.vertices, 3)
     assert is_planar(crown).planar
 
 
@@ -259,42 +254,46 @@ def test_triangle_free_predicate():
     assert is_triangle_free(kronecker_product(make_complete(5), make_complete(2)))
 
 
+# Component and bipartite structure is checked with networkx as the
+# reference.
+
+
 def test_components_connected_graph():
-    g = make_cycle(7)
-    assert components(g) == [g]
+    nx, h = _nx_graph(make_cycle(7))
+    assert nx.is_connected(h)
 
 
 def test_components_k2_times_k2():
-    comps = components(times_k2(make_complete(2)))
+    nx, h = _nx_graph(times_k2(make_complete(2)))
+    comps = list(nx.connected_components(h))
     assert len(comps) == 2
-    assert all(c.num_edges == 1 for c in comps)
+    assert all(h.subgraph(c).number_of_edges() == 1 for c in comps)
 
 
 def test_components_of_bipartite_product():
     prod = kronecker_product(
         make_complete_bipartite(2, 3), make_complete_bipartite(1, 2)
     )
-    assert len(components(prod)) == 2
+    nx, h = _nx_graph(prod)
+    assert nx.number_connected_components(h) == 2
 
 
 def test_bipartition():
-    g = make_complete_bipartite(2, 5)
-    parts = bipartition(g)
-    assert parts is not None
-    assert sorted(map(len, parts)) == [2, 5]
-    assert bipartition(make_complete(3)) is None
+    nx, h = _nx_graph(make_complete_bipartite(2, 5))
+    assert sorted(map(len, nx.bipartite.sets(h))) == [2, 5]
+    assert not nx.is_bipartite(_nx_graph(make_complete(3))[1])
 
 
 def test_identify_complete_bipartite():
-    assert identify_complete_bipartite(make_complete_bipartite(2, 6)) == (2, 6)
-    assert identify_complete_bipartite(make_cycle(6)) is None
-    prod = kronecker_product(
-        make_complete_bipartite(2, 3), make_complete_bipartite(1, 2)
-    )
-    found = sorted(
-        tuple(sorted(identify_complete_bipartite(c))) for c in components(prod)
-    )
-    assert found == [(2, 6), (3, 4)]
+    # each half of K_{2,3} x K_{1,2} is connected, bipartite and complete
+    found = []
+    for c in bipartite_factor_split(2, 3, 1, 2):
+        nx, h = _nx_graph(c)
+        assert nx.is_connected(h)
+        a, b = nx.bipartite.sets(h)
+        assert c.num_edges == len(a) * len(b)
+        found.append(tuple(sorted((len(a), len(b)))))
+    assert sorted(found) == [(2, 6), (3, 4)]
 
 
 # ============================================================
@@ -313,25 +312,23 @@ def small_graphs(draw):
 
 @given(small_graphs(), small_graphs())
 def test_union_covers_both(a: Graph, b: Graph):
-    u = graph_union(a, b)
-    assert a.edge_set <= u.edge_set
-    assert b.edge_set <= u.edge_set
-    assert u.edge_set == a.edge_set | b.edge_set
+    u = Graph(a.vertices + b.vertices, a.edges + b.edges)
+    assert set(u.vertices) == set(a.vertices) | set(b.vertices)
+    assert set(u.edges) == set(a.edges) | set(b.edges)
 
 
 @given(small_graphs())
 def test_components_partition_vertices(g: Graph):
-    comps = components(g)
-    seen: list = []
-    for c in comps:
-        seen.extend(c.vertices)
-    assert sorted(seen) == list(g.vertices)
-    assert sum(c.num_edges for c in comps) == g.num_edges
+    # the graphs induced on networkx's components split g's vertices and edges
+    nx, h = _nx_graph(g)
+    comps = [induced_subgraph(g, c.__contains__) for c in nx.connected_components(h)]
+    assert sorted(v for c in comps for v in c.vertices) == list(g.vertices)
+    assert sorted(e for c in comps for e in c.edges) == list(g.edges)
 
 
 @given(small_graphs())
 def test_remove_then_union_roundtrip(g: Graph):
-    half = list(g.edges)[: g.num_edges // 2]
-    rest = remove_edges(g, half)
-    again = graph_union(rest, Graph(g.vertices, half))
-    assert again == g
+    half = g.edges[: g.num_edges // 2]
+    rest = Graph(g.vertices, [e for e in g.edges if e not in half])
+    assert rest.num_edges == g.num_edges - len(half)
+    assert Graph(rest.vertices, rest.edges + half) == g

@@ -16,7 +16,6 @@ from kronthick.graphs import (
     Graph,
     VertexLabel,
     edge,
-    graph_union,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -68,8 +67,25 @@ def test_forced_single_edge_part():
     pin = edge(u[0], w[0])
     result = find_planar_partition(g, 3, BUDGET, force_single_edge=pin)
     assert result.found is not None
-    assert any(p.edge_set == frozenset([pin]) for p in result.found.parts)
+    assert any(p.edges == (pin,) for p in result.found.parts)
     assert verify_decomposition(g, result.found.parts).passed
+
+
+@pytest.mark.parametrize(
+    "pin",
+    [
+        (VertexLabel(Family.U, 1), VertexLabel(Family.U, 2)),  # not an edge
+        (VertexLabel(Family.U, 1), VertexLabel(Family.V, 9)),  # not a vertex
+        (VertexLabel(Family.X, 1), VertexLabel(Family.U, 1)),  # not a vertex
+        (VertexLabel(Family.U, 1), VertexLabel(Family.U, 1)),  # self-loop
+    ],
+    ids=["non-edge", "foreign-v", "foreign-x", "self-loop"],
+)
+def test_forced_edge_outside_the_target_rejected(pin):
+    g = make_complete_bipartite(3, 3)
+    for forced in (pin, pin[::-1]):
+        with pytest.raises(PreconditionError):
+            find_planar_partition(g, 3, BUDGET, force_single_edge=forced)
 
 
 def test_budget_validation():
@@ -160,7 +176,8 @@ def test_long_edge_list_skips_bridge_tests(monkeypatch):
     # every cycle edge joins two components of its part until the cycle
     # closes, so only closing edges need an LR call
     calls = _count_lr_calls(monkeypatch)
-    g = graph_union(make_cycle(1200), make_complete_bipartite(3, 3))
+    c, k33 = make_cycle(1200), make_complete_bipartite(3, 3)
+    g = Graph(c.vertices + k33.vertices, c.edges + k33.edges)
     assert find_planar_partition(g, 2).found is not None
     assert calls[0] <= 10
 
@@ -305,7 +322,8 @@ def test_search_matches_reference(monkeypatch):
 
 def test_long_edge_list_needs_no_recursion():
     # 309 edges; the search depth is the edge count
-    g = graph_union(make_cycle(300), make_complete_bipartite(3, 3))
+    c, k33 = make_cycle(300), make_complete_bipartite(3, 3)
+    g = Graph(c.vertices + k33.vertices, c.edges + k33.edges)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:

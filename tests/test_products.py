@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -10,15 +12,40 @@ from kronthick.graphs import (
     Graph,
     ProductVertex,
     VertexLabel,
-    bipartition,
-    components,
-    identify_complete_bipartite,
+    induced_subgraph,
     make_complete,
     make_complete_bipartite,
     make_cycle,
 )
 from kronthick.planarity import is_planar
 from kronthick.products import bipartite_factor_split, kronecker_product, times_k2
+
+
+# Component and complete-bipartite structure is checked with networkx as the
+# reference.
+
+
+def _nx_graph(g: Graph):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(g.vertices)
+    return nx, h
+
+
+def _components(g: Graph) -> list[Graph]:
+    """The graphs induced on networkx's connected components of g."""
+    nx, h = _nx_graph(g)
+    return [induced_subgraph(g, c.__contains__) for c in nx.connected_components(h)]
+
+
+def _bipartite_sides(g: Graph) -> tuple[int, int] | None:
+    """Sorted side sizes when g is connected complete bipartite, else None."""
+    nx, h = _nx_graph(g)
+    if g.num_edges == 0 or not nx.is_connected(h) or not nx.is_bipartite(h):
+        return None
+    a, b = nx.bipartite.sets(h)
+    return tuple(sorted((len(a), len(b)))) if g.num_edges == len(a) * len(b) else None
+
 
 # ============================================================
 # Kronecker product
@@ -29,7 +56,8 @@ def test_k5_times_k2_shape():
     prod = kronecker_product(make_complete(5), make_complete(2))
     assert prod.num_vertices == 10
     assert prod.num_edges == 20
-    assert bipartition(prod) is not None
+    nx, h = _nx_graph(prod)
+    assert nx.is_bipartite(h)
     # edges are exactly layer-1 to layer-2 pairs with distinct indices
     for a, b in prod.edges:
         assert {a.layer, b.layer} == {1, 2}
@@ -38,7 +66,7 @@ def test_k5_times_k2_shape():
 
 def test_k2_times_k2_is_two_disjoint_edges():
     prod = kronecker_product(make_complete(2), make_complete(2))
-    comps = components(prod)
+    comps = _components(prod)
     assert len(comps) == 2
     assert all(c.num_edges == 1 for c in comps)
 
@@ -110,13 +138,13 @@ def test_times_k2_of_complete_is_crown():
 
 
 def test_times_k2_of_even_cycle_splits():
-    comps = components(times_k2(make_cycle(6)))
+    comps = _components(times_k2(make_cycle(6)))
     assert len(comps) == 2
     assert all(c.num_vertices == 6 and c.num_edges == 6 for c in comps)
 
 
 def test_times_k2_of_k2():
-    comps = components(times_k2(make_complete(2)))
+    comps = _components(times_k2(make_complete(2)))
     assert len(comps) == 2
     assert all(c.num_edges == 1 for c in comps)
 
@@ -139,19 +167,19 @@ def test_times_k2_always_triangle_free():
 
 def test_split_unit_case():
     a, b = bipartite_factor_split(1, 1, 1, 1)
-    assert identify_complete_bipartite(a) == (1, 1)
-    assert identify_complete_bipartite(b) == (1, 1)
+    assert _bipartite_sides(a) == (1, 1)
+    assert _bipartite_sides(b) == (1, 1)
 
 
 def test_split_k2_factor_gives_two_copies():
     a, b = bipartite_factor_split(3, 4, 1, 1)
-    assert sorted(identify_complete_bipartite(a)) == [3, 4]
-    assert sorted(identify_complete_bipartite(b)) == [3, 4]
+    assert _bipartite_sides(a) == (3, 4)
+    assert _bipartite_sides(b) == (3, 4)
 
 
 def test_split_2312():
     a, b = bipartite_factor_split(2, 3, 1, 2)
-    sides = sorted(tuple(sorted(identify_complete_bipartite(c))) for c in (a, b))
+    sides = sorted(_bipartite_sides(c) for c in (a, b))
     assert sides == [(2, 6), (3, 4)]
 
 
@@ -163,11 +191,19 @@ def test_split_components_match_brute_product():
     )
     assert sum(g.num_edges for g in split) == prod.num_edges
     assert sum(g.num_vertices for g in split) == prod.num_vertices
-    got = sorted(tuple(sorted(identify_complete_bipartite(c))) for c in split)
-    want = sorted(
-        tuple(sorted(identify_complete_bipartite(c))) for c in components(prod)
-    )
+    got = sorted(_bipartite_sides(c) for c in split)
+    want = sorted(_bipartite_sides(c) for c in _components(prod))
     assert got == want
+
+
+def test_split_equals_induced_networkx_components():
+    anchor = ProductVertex(VertexLabel(Family.U, 1), VertexLabel(Family.U, 1))
+    for m, n, p, q in product(range(1, 5), repeat=4):
+        prod = kronecker_product(
+            make_complete_bipartite(m, n), make_complete_bipartite(p, q)
+        )
+        want = sorted(_components(prod), key=lambda c: anchor not in c.vertices)
+        assert bipartite_factor_split(m, n, p, q) == tuple(want), (m, n, p, q)
 
 
 def test_split_rejects_bad_sizes():
@@ -188,9 +224,7 @@ def test_split_rejects_bad_sizes():
 )
 def test_split_sides_formula(m, n, p, q):
     a, b = bipartite_factor_split(m, n, p, q)
-    got = sorted(
-        tuple(sorted(identify_complete_bipartite(c))) for c in (a, b)
-    )
+    got = sorted(_bipartite_sides(c) for c in (a, b))
     want = sorted([tuple(sorted((m * p, n * q))), tuple(sorted((m * q, n * p)))])
     assert got == want
 

@@ -5,10 +5,8 @@ from kronthick.graphs import (
     Family,
     Graph,
     edge,
-    graph_union,
     make_complete,
     make_complete_bipartite,
-    remove_edges,
 )
 from kronthick.verification import (
     NOT_CERTIFIED,
@@ -57,7 +55,7 @@ def test_passed_iff_no_defects():
 def test_deleted_edge_reported_missing():
     target, parts = k88_parts()
     victim = parts[0].edges[3]
-    parts[0] = remove_edges(parts[0], [victim])
+    parts[0] = Graph(parts[0].vertices, [e for e in parts[0].edges if e != victim])
     report = verify_decomposition(target, parts)
     assert not report.passed
     assert report.coverage_missing == (victim,)
@@ -67,7 +65,7 @@ def test_deleted_edge_reported_missing():
 def test_duplicated_edge_reported_overlapping():
     target, parts = k88_parts()
     moved = parts[0].edges[0]
-    parts[1] = graph_union(parts[1], Graph(list(moved), [tuple(moved)]))
+    parts[1] = Graph(parts[1].vertices + moved, parts[1].edges + (moved,))
     report = verify_decomposition(target, parts)
     assert not report.passed
     assert report.overlap == ((moved, (0, 1)),)
@@ -78,7 +76,7 @@ def test_foreign_edge_reported_extra():
     target, parts = k88_parts()
     u = [v for v in target.vertices if v.family is Family.U]
     foreign = edge(u[0], u[1])  # same-side edge, not in K_{8,8}
-    parts[0] = graph_union(parts[0], Graph([u[0], u[1]], [foreign]))
+    parts[0] = Graph(parts[0].vertices + foreign, parts[0].edges + (foreign,))
     report = verify_decomposition(target, parts)
     assert not report.passed
     assert foreign in report.coverage_extra
@@ -88,7 +86,7 @@ def test_nonplanar_part_flagged():
     target, parts = k88_parts()
     five = list(target.vertices)[:5]
     k5 = Graph(five, [(a, b) for i, a in enumerate(five) for b in five[i + 1 :]])
-    parts[1] = graph_union(parts[1], k5)
+    parts[1] = Graph(parts[1].vertices + k5.vertices, parts[1].edges + k5.edges)
     report = verify_decomposition(target, parts)
     assert not report.passed
     assert 1 in report.nonplanar_parts
@@ -97,7 +95,7 @@ def test_nonplanar_part_flagged():
 def test_defect_order_deterministic():
     target, parts = k88_parts()
     victims = [parts[0].edges[0], parts[0].edges[5], parts[0].edges[2]]
-    parts[0] = remove_edges(parts[0], victims)
+    parts[0] = Graph(parts[0].vertices, [e for e in parts[0].edges if e not in victims])
     a = verify_decomposition(target, parts)
     b = verify_decomposition(target, parts)
     assert a == b
@@ -107,7 +105,7 @@ def test_defect_order_deterministic():
 def test_summary_strings():
     target, parts = k88_parts()
     assert verify_decomposition(target, parts).summary().startswith("PASS")
-    parts[0] = remove_edges(parts[0], [parts[0].edges[0]])
+    parts[0] = Graph(parts[0].vertices, parts[0].edges[1:])
     assert verify_decomposition(target, parts).summary().startswith("FAIL")
 
 
