@@ -38,13 +38,13 @@ def _components(g: Graph) -> list[Graph]:
     return [induced_subgraph(g, c.__contains__) for c in nx.connected_components(h)]
 
 
-def _bipartite_sides(g: Graph) -> tuple[int, int] | None:
-    """Sorted side sizes when g is connected complete bipartite, else None."""
+def _bipartite_sides(g: Graph) -> tuple[int, int]:
+    """Sorted side sizes of g, which must be connected complete bipartite."""
     nx, h = _nx_graph(g)
-    if g.num_edges == 0 or not nx.is_connected(h) or not nx.is_bipartite(h):
-        return None
+    assert nx.is_connected(h)
     a, b = nx.bipartite.sets(h)
-    return tuple(sorted((len(a), len(b)))) if g.num_edges == len(a) * len(b) else None
+    assert g.num_edges == len(a) * len(b)
+    return tuple(sorted((len(a), len(b))))
 
 
 # ============================================================
