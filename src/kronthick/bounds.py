@@ -1,5 +1,8 @@
 """Closed-form thickness values and bounds, each reported with provenance tags.
 
+A report holds a lower and an upper bound; its ``exact`` value is the
+thickness when the two meet, and None otherwise.
+
 Everything here is exact integer arithmetic; ceilings are computed with
 negative floor division, never floats.  The convention throughout the package
 is theta = 1 for every planar graph, including edgeless ones; theta is
@@ -41,22 +44,23 @@ def _ceil_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower/upper thickness bounds; exact is set only when they are proven equal."""
+    """Lower/upper thickness bounds; the thickness is exact when they meet."""
 
     lower: int
-    upper: int | None  # None means unknown
-    exact: int | None
+    upper: int
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.lower < 0:
             raise PreconditionError("lower bound must be non-negative")
-        if self.upper is not None and self.lower > self.upper:
+        if self.lower > self.upper:
             raise PreconditionError(
                 f"lower {self.lower} exceeds upper {self.upper}"
             )
-        if self.exact is not None and not (self.lower == self.upper == self.exact):
-            raise PreconditionError("exact requires lower == upper == exact")
+
+    @property
+    def exact(self) -> int | None:
+        return self.lower if self.lower == self.upper else None
 
 
 def _dedup(tags) -> tuple[str, ...]:
@@ -94,20 +98,14 @@ def product_lower_bound(g: Graph, h: Graph) -> int:
     return max(val, 1)
 
 
-def _theta_hat_times_k2(x: Graph) -> int:
-    """Upper bound for theta(x x K_2): 1 when that product is planar, else ceil(n/4)."""
-    if is_planar(times_k2(x)).planar:
-        return 1
-    return _ceil_div(x.num_vertices, 4)
-
-
 def product_upper_bound(g: Graph, h: Graph) -> int:
     """Decomposition upper bound: route each factor edge through a double cover."""
     if g.num_edges == 0 or h.num_edges == 0:
         return 1
+    # both factors have an edge, so each has the 2 vertices g_times_k2_bounds needs
     return min(
-        h.num_edges * _theta_hat_times_k2(g),
-        g.num_edges * _theta_hat_times_k2(h),
+        h.num_edges * g_times_k2_bounds(g).upper,
+        g.num_edges * g_times_k2_bounds(h).upper,
     )
 
 
@@ -139,26 +137,22 @@ def g_times_k2_bounds(g: Graph) -> BoundReport:
     n = g.num_vertices
     if n < 2:
         raise PreconditionError("g_times_k2_bounds needs a graph on >= 2 vertices")
-    if is_planar(times_k2(g)).planar:
-        return BoundReport(1, 1, 1, (THM_3_4, PLANAR))
-    lower = max(1, _ceil_div(g.num_edges, 2 * n - 2))
-    upper = _ceil_div(n, 4)
-    exact = lower if lower == upper else None
-    return BoundReport(lower, upper, exact, (THM_3_4,))
+    prod = times_k2(g)
+    if is_planar(prod).planar:
+        return BoundReport(1, 1, (THM_3_4, PLANAR))
+    return BoundReport(thickness_lower_bound(prod), _ceil_div(n, 4), (THM_3_4,))
 
 
 def _theta_bipartite_report(a: int, b: int) -> BoundReport:
     """What this module knows about theta(K_{a,b})."""
     if min(a, b) <= 2:
-        return BoundReport(1, 1, 1, (PLANAR,))
+        return BoundReport(1, 1, (PLANAR,))
     if a == b:
-        v = theta_knn(a)
-        return BoundReport(v, v, v, (LEMMA_3_1,))
+        return knn_report(a)
     lower = max(1, _ceil_div(a * b, 2 * (a + b) - 4))
     upper = theta_knn(max(a, b))  # K_{a,b} sits inside the larger balanced graph
-    exact = lower if lower == upper else None
-    tags = (EULER, LEMMA_3_1) if exact is not None else (EULER, LEMMA_3_1, OPEN)
-    return BoundReport(lower, upper, exact, tags)
+    tags = (EULER, LEMMA_3_1) if lower == upper else (EULER, LEMMA_3_1, OPEN)
+    return BoundReport(lower, upper, tags)
 
 
 def theta_kmn_times_kpq(m: int, n: int, p: int, q: int) -> BoundReport:
@@ -168,20 +162,11 @@ def theta_kmn_times_kpq(m: int, n: int, p: int, q: int) -> BoundReport:
             raise InvalidSizeError(f"part sizes must be >= 1, got {(m, n, p, q)}")
     r1 = _theta_bipartite_report(m * p, n * q)
     r2 = _theta_bipartite_report(m * q, n * p)
-    lower = max(r1.lower, r2.lower)
-    upper = max(r1.upper, r2.upper)
-    exact = None
-    if r1.exact is not None and r2.exact is not None:
-        exact = max(r1.exact, r2.exact)
-    elif r1.exact is not None and r1.exact >= r2.upper:
-        exact = r1.exact
-    elif r2.exact is not None and r2.exact >= r1.upper:
-        exact = r2.exact
-    elif lower == upper:
-        exact = lower
-    if exact is not None:
-        lower = upper = exact
-    return BoundReport(lower, upper, exact, _dedup((THM_3_6,) + r1.provenance + r2.provenance))
+    return BoundReport(
+        max(r1.lower, r2.lower),
+        max(r1.upper, r2.upper),
+        _dedup((THM_3_6,) + r1.provenance + r2.provenance),
+    )
 
 
 def tripartite_times_k2_bounds(l: int, m: int, n: int) -> BoundReport:
@@ -190,32 +175,25 @@ def tripartite_times_k2_bounds(l: int, m: int, n: int) -> BoundReport:
         raise PreconditionError(f"sizes must satisfy 1 <= l <= m <= n, got {(l, m, n)}")
     lower = max(1, _ceil_div(l * m + l * n + m * n, 2 * (l + m + n) - 2))
     rb = _theta_bipartite_report(m, n)
-    if rb.exact is not None:
-        upper = 2 * rb.exact
-        tags = (THM_4_1,) + rb.provenance
-    else:
-        upper = 2 * rb.upper
-        tags = (THM_4_1, OPEN) + rb.provenance
-    exact = lower if lower == upper else None
-    return BoundReport(lower, upper, exact, _dedup(tags))
+    tags = (THM_4_1,) if rb.exact is not None else (THM_4_1, OPEN)
+    return BoundReport(lower, 2 * rb.upper, _dedup(tags + rb.provenance))
 
 
 def knn_report(n: int) -> BoundReport:
     """Exact report for theta(K_{n,n})."""
     v = theta_knn(n)
-    return BoundReport(v, v, v, (LEMMA_3_1,))
+    return BoundReport(v, v, (LEMMA_3_1,))
 
 
 def knnn_times_k2_report(n: int) -> BoundReport:
     """Exact report for theta(K_{n,n,n} x K_2) = ceil((n+1)/2)."""
     v = theta_knnn_times_k2(n)
-    return BoundReport(v, v, v, (THM_4_7,))
+    return BoundReport(v, v, (THM_4_7,))
 
 
 def product_bounds_report(g: Graph, h: Graph) -> BoundReport:
     """Combined lower/upper report for theta(g x h)."""
-    lower = product_lower_bound(g, h)
-    upper = product_upper_bound(g, h)
     lower_tag = THM_2_2 if is_triangle_free(g) or is_triangle_free(h) else THM_2_1
-    exact = lower if lower == upper else None
-    return BoundReport(lower, upper, exact, (lower_tag, THM_3_4))
+    return BoundReport(
+        product_lower_bound(g, h), product_upper_bound(g, h), (lower_tag, THM_3_4)
+    )

@@ -437,7 +437,8 @@ def validate_seed(seed: Decomposition) -> int:
     """Check a seed and return its p; raises SeedInvalidError on any defect.
 
     A seed is a planar decomposition of K_{m,m}, m = 4p+3 and p >= 1, into
-    p+2 parts whose last part is a single edge.
+    p+2 parts whose last part is a single edge.  Every part vertex, isolated
+    or not, must be a vertex of K_{m,m}.
     """
     m = seed.target.num_vertices // 2
     p, rem = divmod(m - 3, 4)
@@ -447,6 +448,13 @@ def validate_seed(seed: Decomposition) -> int:
         raise SeedInvalidError(
             f"seed for K_{{{m},{m}}} must have {p + 2} parts, the last a single edge"
         )
+    own = set(seed.target.vertices)
+    for k, part in enumerate(seed.parts):
+        for w in part.vertices:
+            if w not in own:
+                raise SeedInvalidError(
+                    f"seed part {k} has vertex {w.name} outside K_{{{m},{m}}}"
+                )
     report = verify_decomposition(seed.target, seed.parts)
     if not report.passed:
         raise SeedInvalidError(f"seed fails verification: {report.summary()}")
@@ -454,22 +462,12 @@ def validate_seed(seed: Decomposition) -> int:
 
 
 def _seed_part_pairs(part: Graph):
-    """(pairs, vs, us) of a seed part: an index pair per edge, every v and u index.
-
-    Any vertex outside the v and u families is an error, isolated or not.
-    """
-    vs, us = [], []
-    for w in part.vertices:
-        if w.family is Family.V:
-            vs.append(w.index)
-        elif w.family is Family.U:
-            us.append(w.index)
-        else:
-            raise PreconditionError(f"vertex {w.name} is in neither source family (v, u)")
-    if len(set(vs)) < len(vs) or len(set(us)) < len(us):
-        raise PreconditionError("vertex relabeling is not injective")
-    # A validated seed's edges are all u_b v_a, and u sorts before v.
+    """(pairs, vs, us) of a validated seed part: an index pair (a, b) per
+    edge v_a u_b, and every v and u index, isolated ones included."""
     ws = part.vertices
+    vs = [w.index for w in ws if w.family is Family.V]
+    us = [w.index for w in ws if w.family is Family.U]
+    # A validated seed's edges are all u_b v_a, and u sorts before v.
     return [(ws[j].index, ws[i].index) for i, j in part.pairs], vs, us
 
 
@@ -490,10 +488,8 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     m = 4 * p + 3
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
     # on the blocks of the other layer group, whose copies do NOT already
-    # contain its endpoints' blocks.  A verified seed's edges run u -> v.
-    last = seed.parts[-1]
-    (i, j), = last.pairs
-    single = [(last.vertices[j].index, last.vertices[i].index)]
+    # contain its endpoints' blocks.
+    single, _, _ = _seed_part_pairs(seed.parts[-1])
     xy2, yz2, zx2 = _BLOCKS_LAYER2
     relocated = ({xy2: single, zx2: single}, {yz2: single})
     h1: list[Graph] = []

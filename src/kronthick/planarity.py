@@ -64,7 +64,7 @@ def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
     Returns (True, rotation) when planar (rotation is None unless
     want_embedding), else (False, None).
     """
-    if n >= 3 and sum(map(len, adj)) > 2 * (3 * n - 6):  # Euler edge prefilter
+    if sum(map(len, adj)) > 2 * euler_max_edges(n):  # Euler edge prefilter
         return False, None
     height = [-1] * n
     parent_edge = [-1] * n

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from kronthick.bounds import (
     thickness_lower_bound,
     tripartite_times_k2_bounds,
 )
+from kronthick.cli import parse_graph_spec
 from kronthick.errors import InvalidSizeError, PreconditionError
 from kronthick.graphs import (
     Graph,
@@ -36,6 +40,7 @@ from kronthick.graphs import (
     make_path,
 )
 from kronthick.products import kronecker_product
+from kronthick.serialize import bound_report_document, to_json
 
 # ============================================================
 # Closed-form values
@@ -197,9 +202,38 @@ def test_cli_report_helpers():
 
 def test_bound_report_rejects_inverted_bounds():
     with pytest.raises(PreconditionError):
-        BoundReport(3, 2, None, ())
+        BoundReport(3, 2, ())
     with pytest.raises(PreconditionError):
-        BoundReport(2, 3, 2, ())
+        BoundReport(-1, 0, ())
+
+
+def test_bound_report_exact_is_where_the_bounds_meet():
+    assert BoundReport(2, 2, ()).exact == 2
+    assert BoundReport(2, 3, ()).exact is None
+    with pytest.raises(AttributeError):
+        BoundReport(2, 2, ()).exact = 3
+
+
+# sha256 over the concatenated bound documents of the grid below, recorded
+# before exact became a property derived from lower and upper.
+_BOUNDS_SHA256 = "79c5fa87f2ea42ea9a89061d1bfe23a0725aa0898dd11527b8a15d7824a227b3"
+_PRODUCT_SPECS = (
+    "kn:2 kn:3 kn:5 kn:7 kmn:1,3 kmn:3,3 kmn:3,5 knnn:2 path:2 path:4 cycle:5 cycle:6"
+).split()
+
+
+def test_bound_documents_are_pinned():
+    reports = [theta_kmn_times_kpq(*s) for s in itertools.product(range(1, 7), repeat=4)]
+    reports += [tripartite_times_k2_bounds(*s)
+                for s in itertools.combinations_with_replacement(range(1, 13), 3)]
+    reports += [g_times_k2_bounds(make_complete(n)) for n in range(2, 41)]
+    for n in range(1, 41):
+        reports += [knn_report(n), knnn_times_k2_report(n)]
+    graphs = [parse_graph_spec(spec) for spec in _PRODUCT_SPECS]
+    reports += [product_bounds_report(g, h) for g in graphs for h in graphs]
+    assert len(reports) == 1923
+    text = "".join(to_json(bound_report_document(r)) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BOUNDS_SHA256
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=2, max_value=7))

@@ -173,6 +173,11 @@ def _bundled_seed_document(edit):
     return doc
 
 
+def _bundled_seed_with_part0_vertex(vertex):
+    return lambda: _bundled_seed_document(
+        lambda doc: doc["parts"][0]["vertices"].append(vertex))
+
+
 _BAD_SEED_DOCUMENTS = {
     "k33": _k33_seed_document,
     "k88": lambda: decomposition_document(chen_yin_k4p4p(2)),
@@ -180,6 +185,12 @@ _BAD_SEED_DOCUMENTS = {
         lambda doc: doc["parts"].pop()),
     "part0-edge-dropped": lambda: _bundled_seed_document(
         lambda doc: doc["parts"][0]["edges"].pop(0)),
+    # An isolated part vertex outside K_{7,7}: a foreign family, a layered
+    # u, and a u index past 7.
+    "part0-vertex-x1": _bundled_seed_with_part0_vertex({"family": "X", "index": 1}),
+    "part0-vertex-u1-layer1": _bundled_seed_with_part0_vertex(
+        {"family": "U", "index": 1, "layer": 1}),
+    "part0-vertex-u9": _bundled_seed_with_part0_vertex({"family": "U", "index": 9}),
 }
 
 

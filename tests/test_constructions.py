@@ -17,6 +17,7 @@ from kronthick.constructions import (
     Decomposition,
     _chen_yin_part_edges,
     _place,
+    _seed_part_pairs,
     chen_yin_k4p4p,
     kn_times_k2_decomposition,
     knnn_times_k2_decomposition,
@@ -169,21 +170,22 @@ def _seed_with_extra_vertex(extra):
 
 
 def test_seed_part_with_foreign_vertex_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(SeedInvalidError):
         lemma46_assemble(1, _seed_with_extra_vertex(VertexLabel(Family.X, 1)))
 
 
 def test_isolated_seed_vertex_is_placed_on_its_copies():
-    base = lemma46_assemble(1, bundled_seed())
-    d = lemma46_assemble(1, _seed_with_extra_vertex(VertexLabel(Family.U, 8)))
-    added = [
-        sorted(v.name for v in set(g.vertices) - set(h.vertices))
-        for g, h in zip(d.parts, base.parts)
-    ]
-    assert added == [["x2_8", "y2_8", "z2_8"], [], ["x1_8", "y1_8", "z1_8"], []]
-    for g, h in zip(d.parts, base.parts):
-        assert set(h.vertices) <= set(g.vertices)
-        assert g.edges == h.edges
+    # A valid K_{7,7} seed's large parts span all 14 vertices, so an
+    # isolated u_7 is made here by dropping its edges from part 0's pairs.
+    pairs, vs, us = _seed_part_pairs(bundled_seed().parts[0])
+    assert 7 in us
+    rest = [(a, b) for a, b in pairs if b != 7]
+    for blocks, added in ((_BLOCKS_LAYER1, ["x2_7", "y2_7", "z2_7"]),
+                          (_BLOCKS_LAYER2, ["x1_7", "y1_7", "z1_7"])):
+        bare = _place(rest, blocks)
+        g = _place(rest, blocks, vs=vs, us=us)
+        assert sorted(v.name for v in set(g.vertices) - set(bare.vertices)) == added
+        assert g.edges == bare.edges
 
 
 @pytest.mark.parametrize(
