@@ -171,7 +171,7 @@ def _decompose(family: str, size: int, seed_path: str | None):
 
 def cmd_decompose(args) -> int:
     d = _decompose(args.family, args.size, args.seed)
-    report = verify_decomposition(d.target, d.parts)
+    report = verify_decomposition(d.target, d.parts, images=d.images)
     sys.stdout.write(to_json(decomposition_document(d)))
     if not report.passed:
         print(f"verification failed: {report.summary()}", file=sys.stderr)
@@ -231,7 +231,7 @@ def _table_row(family: str, n: int, seed_path: str | None):
         upper = n + 1
     else:  # knnn_x_k2: _decompose rejects every other family
         lower = upper = theta_knnn_times_k2(n)
-    report = verify_decomposition(d.target, d.parts, lower=lower)
+    report = verify_decomposition(d.target, d.parts, lower=lower, images=d.images)
     return lower, len(d.parts), upper, "yes" if report.optimality == OPTIMAL else "no"
 
 

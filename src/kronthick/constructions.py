@@ -18,11 +18,17 @@ edges the tripartite lemmas add or delete are pairs on named blocks.  A
 layer-2 part is its layer-1 partner on swapped blocks, and odd K_n x K_2
 keeps the pairs of n+1 that stay on indices <= n.  Only K_{n,n,n} x K_2,
 n = 2 (mod 4), is built larger and induced on the indices <= n.
+
+Most parts are relabelled copies of an earlier part, under an index-block
+swap or shift or a layer flip.  The builders say so in Decomposition.images,
+vertex maps read off the positions _place assigns; the verifier checks each
+map and then skips that part's planarity test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
 
 from .bounds import (
     LEMMA_3_2,
@@ -77,7 +83,10 @@ class Decomposition:
     guarantee is OPTIMAL when the part count provably meets the thickness
     of the target, UPPER_BOUND_ONLY otherwise.  provenance names the
     formula/construction tag that produced it; figure optionally cites a
-    drawn source for transcribed fixtures.
+    drawn source for transcribed fixtures.  images is what a builder knows
+    of isomorphic parts, in the form verify_decomposition takes: per part
+    None or (j, pi), part j's vertex positions mapped onto this part's.  It
+    is neither compared nor serialized.
     """
 
     target: Graph
@@ -85,6 +94,7 @@ class Decomposition:
     guarantee: str
     provenance: str
     figure: str | None = None
+    images: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -126,19 +136,17 @@ def _swapped(edits: dict) -> dict:
     return {_SWAP[blk]: pairs for blk, pairs in edits.items()}
 
 
-def _place(pairs: list, blocks, adds=None, dels=None, vs=(), us=()) -> Graph:
+def _place(pairs: list, blocks, adds=None, dels=None) -> tuple[Graph, dict]:
     """Build one part: the index pairs on every block, edited per block.
 
-    The v indices vs and u indices us are placed on every block even if no
-    pair uses them.  adds and dels map a block, one of blocks or any other,
-    to index pairs: on that block the pairs dels are removed and then adds
-    are added, endpoints included.  Each label is made once and all are
-    sorted once; each block index then maps to its label's position, and
-    the Graph gets the sorted position pairs.
+    adds and dels map a block, one of blocks or any other, to index pairs:
+    on that block the pairs dels are removed and then adds are added,
+    endpoints included.  Each label is made once and all are sorted once;
+    each block index then maps to its label's position, and the Graph gets
+    the sorted position pairs.  Returns the part and those positions,
+    class -> {index: position}.
     """
     adds, dels = adds or {}, dels or {}
-    vs = {a for a, _ in pairs}.union(vs)
-    us = {b for _, b in pairs}.union(us)
     at: dict = {}  # class -> {index: position}, positions filled in below
     placed = []
     for blk in set(blocks).union(adds):
@@ -146,8 +154,8 @@ def _place(pairs: list, blocks, adds=None, dels=None, vs=(), us=()) -> Graph:
         doomed = dels.get(blk, ())
         ps = [e for e in pairs if own and e not in doomed] + adds.get(blk, [])
         at_v, at_u = at.setdefault(blk[0], {}), at.setdefault(blk[1], {})
-        at_v.update(dict.fromkeys([a for a, _ in ps] + list(vs if own else ())))
-        at_u.update(dict.fromkeys([b for _, b in ps] + list(us if own else ())))
+        at_v.update(dict.fromkeys([a for a, _ in ps]))
+        at_u.update(dict.fromkeys([b for _, b in ps]))
         placed.append((at_v, at_u, ps))
     labels = sorted(
         (VertexLabel(f, i, layer), pos) for (f, layer), pos in at.items() for i in pos
@@ -159,12 +167,56 @@ def _place(pairs: list, blocks, adds=None, dels=None, vs=(), us=()) -> Graph:
         for a, b in ps:
             i, j = at_v[a], at_u[b]
             edges.add((i, j) if i < j else (j, i))
-    return Graph._trusted(tuple([v for v, _ in labels]), tuple(sorted(edges)))
+    return Graph._trusted(tuple([v for v, _ in labels]), tuple(sorted(edges))), at
+
+
+def _place_all(specs, claims: dict) -> tuple[tuple, tuple]:
+    """The parts _place builds from specs, one argument tuple per part, and
+    their Decomposition.images.
+
+    claims maps i to (j, index, flip), j < i: part i is part j with each
+    label (f, a, layer) relabelled (f, index.get(a, a), layer), the layer
+    flipped if flip is set.  The map is read off the positions _place gave
+    both parts, and the verifier checks it.  Every other part gets None.
+    """
+    sources = {j for j, _, _ in claims.values()}
+    kept: dict = {}  # the positions of the sources, the only ones needed
+    parts, images = [], []
+    for i, spec in enumerate(specs):
+        g, at = _place(*spec)
+        image = None
+        if i in claims:
+            j, index, flip = claims[i]
+            pi = [0] * parts[j].num_vertices
+            for (f, layer), pos in kept[j].items():
+                to = at[f, 3 - layer if flip else layer]
+                for a, k in pos.items():
+                    pi[k] = to[index.get(a, a)]
+            image = (j, array("i", pi))  # a quarter of a list's memory
+        parts.append(g)
+        images.append(image)
+        if i in sources:
+            kept[i] = at
+    return tuple(parts), tuple(images)
 
 
 def _block(r: int) -> tuple[int, int, int, int]:
     """The four indices of the Chen-Yin index block r: 4r-3 .. 4r."""
     return (4 * r - 3, 4 * r - 2, 4 * r - 1, 4 * r)
+
+
+def _swap_blocks(r: int) -> dict:
+    """The index map that exchanges index blocks 1 and r.
+
+    Chen-Yin part r is part 1 under it: each part treats all its foreign
+    blocks alike.
+    """
+    return {**dict(zip(_block(1), _block(r))), **dict(zip(_block(r), _block(1)))}
+
+
+def _shift_blocks(p: int, s: int) -> dict:
+    """The index map that moves each index of 1..4p on by s blocks, cyclically."""
+    return {i: (i - 1 + 4 * s) % (4 * p) + 1 for i in range(1, 4 * p + 1)}
 
 
 # ============================================================
@@ -216,13 +268,17 @@ def chen_yin_k4p4p(p: int) -> Decomposition:
         raise InvalidSizeError(f"chen_yin_k4p4p needs p >= 1, got {p}")
     n = 4 * p
     target = make_complete_bipartite(n, n)
-    parts = [_place(_chen_yin_part_edges(p, r), _UV) for r in range(1, p + 1)]
-    parts.append(_place([(i, i) for i in range(1, n + 1)], _UV))
+    specs = [(_chen_yin_part_edges(p, r), _UV) for r in range(1, p + 1)]
+    specs.append(([(i, i) for i in range(1, n + 1)], _UV))
+    parts, images = _place_all(
+        specs, {r - 1: (0, _swap_blocks(r), False) for r in range(2, p + 1)}
+    )
     return Decomposition(
         target=target,
-        parts=tuple(parts),
+        parts=parts,
         guarantee=OPTIMAL,
         provenance=LEMMA_3_2,
+        images=images,
     )
 
 
@@ -255,7 +311,9 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
     from the crown graph, so it is dropped), plus one extension part when
     n = 4p+2.  Odd n: the index pairs of n+1, keeping the pairs on indices
     <= n; the part count is unchanged because ceil(n/4) = ceil((n+1)/4)
-    for odd n.
+    for odd n.  Block part r is block part 1 with index blocks 1 and r
+    swapped, except block part p when n = 3 (mod 4): the dropped index
+    n+1 = 4p is in block p, and the swap would move it.
     """
     if n < 2:
         raise InvalidSizeError(f"kn_times_k2_decomposition needs n >= 2, got {n}")
@@ -263,16 +321,18 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
     main = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
     if rem == 2:
         main.append(_g_prime_edges(p))
-    parts = [
-        _place([(a, b) for a, b in pairs if a <= n and b <= n], _CROWN)
-        for pairs in main
-    ]
+    specs = (([(a, b) for a, b in pairs if a <= n and b <= n], _CROWN) for pairs in main)
+    swapped = range(2, p + 1 - (n % 4 == 3))
+    parts, images = _place_all(
+        specs, {r - 1: (0, _swap_blocks(r), False) for r in swapped}
+    )
     target = times_k2(make_complete(n))
     return Decomposition(
         target=target,
-        parts=tuple(parts),
+        parts=parts,
         guarantee=OPTIMAL,
         provenance=THM_3_3,
+        images=images,
     )
 
 
@@ -287,21 +347,27 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     Each main bipartite part is copied three times around the family
     cycle, once per layer orientation; the six per-index matchings that
     the copies leave uncovered close up into 4p disjoint 6-cycles, which
-    form the final part.
+    form the final part.  Layer-1 part r is part 1 with index blocks 1 and
+    r swapped, and each layer-2 part is its layer-1 partner with every
+    layer flipped.
     """
     if p < 1:
         raise InvalidSizeError(f"knnn_times_k2_n0mod4 needs p >= 1, got {p}")
     n = 4 * p
     main = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
-    parts = [_place(pairs, _BLOCKS_LAYER1) for pairs in main]
-    parts += [_place(pairs, _BLOCKS_LAYER2) for pairs in main]
-    parts.append(_place([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS))
+    specs = [(pairs, _BLOCKS_LAYER1) for pairs in main]
+    specs += [(pairs, _BLOCKS_LAYER2) for pairs in main]
+    specs.append(([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS))
+    claims = {r - 1: (0, _swap_blocks(r), False) for r in range(2, p + 1)}
+    claims.update({p + k: (k, {}, True) for k in range(p)})
+    parts, images = _place_all(specs, claims)
     target = times_k2(make_complete_tripartite(n, n, n))
     return Decomposition(
         target=target,
-        parts=tuple(parts),
+        parts=parts,
         guarantee=OPTIMAL,
         provenance=LEMMA_4_2,
+        images=images,
     )
 
 
@@ -364,7 +430,10 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
 
     Starts from the n = 4p layout and threads the six new vertices'
     edges through the existing parts; needs p >= 2 (the n = 1 and n = 5
-    cases ship as drawn fixtures instead).
+    cases ship as drawn fixtures instead).  Layer-1 part r is part 1 with
+    every index block moved r-1 blocks on, cyclically, and the new index n
+    fixed; each layer-2 part is its layer-1 partner with every layer
+    flipped.
     """
     if p < 2:
         raise PreconditionError(
@@ -374,16 +443,20 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
     n = 4 * p + 1
     main = [(_chen_yin_part_edges(p, r), *_n1_part_adjustments(p, r))
             for r in range(1, p + 1)]
-    parts = [_place(pairs, _BLOCKS_LAYER1, adds, dels) for pairs, adds, dels in main]
-    parts += [_place(pairs, _BLOCKS_LAYER2, _swapped(adds), _swapped(dels))
+    specs = [(pairs, _BLOCKS_LAYER1, adds, dels) for pairs, adds, dels in main]
+    specs += [(pairs, _BLOCKS_LAYER2, _swapped(adds), _swapped(dels))
               for pairs, adds, dels in main]
-    parts.append(_place([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))))
+    specs.append(([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))))
+    claims = {r - 1: (0, _shift_blocks(p, r - 1), False) for r in range(2, p + 1)}
+    claims.update({p + k: (k, {}, True) for k in range(p)})
+    parts, images = _place_all(specs, claims)
     target = times_k2(make_complete_tripartite(n, n, n))
     return Decomposition(
         target=target,
-        parts=tuple(parts),
+        parts=parts,
         guarantee=OPTIMAL,
         provenance=LEMMA_4_4,
+        images=images,
     )
 
 
@@ -438,7 +511,10 @@ def validate_seed(seed: Decomposition) -> int:
 
     A seed is a planar decomposition of K_{m,m}, m = 4p+3 and p >= 1, into
     p+2 parts whose last part is a single edge.  Every part vertex, isolated
-    or not, must be a vertex of K_{m,m}.
+    or not, must be a vertex of K_{m,m}.  Such a seed has no isolated vertex
+    in a large part: the p+1 large parts share m*m - 1 = (p+1)(4m-4) edges
+    and a planar bipartite part on v vertices has at most 2v-4, so each has
+    exactly 4m-4 edges and all 2m vertices carry one.
     """
     m = seed.target.num_vertices // 2
     p, rem = divmod(m - 3, 4)
@@ -461,14 +537,11 @@ def validate_seed(seed: Decomposition) -> int:
     return p
 
 
-def _seed_part_pairs(part: Graph):
-    """(pairs, vs, us) of a validated seed part: an index pair (a, b) per
-    edge v_a u_b, and every v and u index, isolated ones included."""
+def _seed_part_pairs(part: Graph) -> list[tuple[int, int]]:
+    """The index pair (a, b) of each edge v_a u_b of a validated seed part."""
     ws = part.vertices
-    vs = [w.index for w in ws if w.family is Family.V]
-    us = [w.index for w in ws if w.family is Family.U]
     # A validated seed's edges are all u_b v_a, and u sorts before v.
-    return [(ws[j].index, ws[i].index) for i, j in part.pairs], vs, us
+    return [(ws[j].index, ws[i].index) for i, j in part.pairs]
 
 
 def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
@@ -480,7 +553,8 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     the seed's single edge v_a u_b are not given parts of their own: each
     is re-homed onto a part of the opposite layer group, where its
     endpoints land in two different vertex-disjoint copies, so the
-    receiving part stays planar no matter what the seed looks like.
+    receiving part stays planar no matter what the seed looks like.  Each
+    layer-2 part is its layer-1 partner with every layer flipped.
     """
     seed_p = validate_seed(seed)
     if seed_p != p:
@@ -489,18 +563,18 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
     # on the blocks of the other layer group, whose copies do NOT already
     # contain its endpoints' blocks.
-    single, _, _ = _seed_part_pairs(seed.parts[-1])
+    single = _seed_part_pairs(seed.parts[-1])
     xy2, yz2, zx2 = _BLOCKS_LAYER2
     relocated = ({xy2: single, zx2: single}, {yz2: single})
-    h1: list[Graph] = []
-    h2: list[Graph] = []
+    h1, h2 = [], []
     for k, part in enumerate(seed.parts[:-1]):
-        pairs, vs, us = _seed_part_pairs(part)
+        pairs = _seed_part_pairs(part)
         adds = relocated[k] if k < 2 else {}
-        h1.append(_place(pairs, _BLOCKS_LAYER1, adds, vs=vs, us=us))
-        h2.append(_place(pairs, _BLOCKS_LAYER2, _swapped(adds), vs=vs, us=us))
-    for label, g in (("first", h1[0]), ("second", h1[1]),
-                     ("first", h2[0]), ("second", h2[1])):
+        h1.append((pairs, _BLOCKS_LAYER1, adds))
+        h2.append((pairs, _BLOCKS_LAYER2, _swapped(adds)))
+    parts, images = _place_all(h1 + h2, {p + 1 + k: (k, {}, True) for k in range(p + 1)})
+    # A layer-2 receiving part is planar exactly when its layer-1 partner is.
+    for label, g in (("first", parts[0]), ("second", parts[1])):
         if not is_planar(g).planar:
             raise ConstructionConflictError(
                 f"relocated edges made the {label} part nonplanar"
@@ -508,9 +582,10 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     target = times_k2(make_complete_tripartite(m, m, m))
     return Decomposition(
         target=target,
-        parts=tuple(h1 + h2),
+        parts=parts,
         guarantee=OPTIMAL,
         provenance=LEMMA_4_6,
+        images=images,
     )
 
 

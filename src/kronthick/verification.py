@@ -4,6 +4,15 @@ A decomposition of a target graph is valid when every target edge appears in
 exactly one part, no part carries an edge outside the target, and every part
 is planar.  Vertex coverage is deliberately not required: parts may omit
 vertices they do not touch.
+
+A builder that knows part i to be a relabelled copy of an earlier part j
+may say so with a vertex map, and part i then takes part j's planarity
+verdict without its own planarity test.  The map is checked, not trusted:
+it must be a bijection from part j's vertex positions onto part i's, and
+it must carry part j's edge pairs onto exactly part i's.  Such a map is a
+graph isomorphism, and isomorphic graphs are both planar or both not, so
+an accepted map cannot change a verdict; a map that fails the check only
+sends part i through the planarity test like any part without one.
 """
 
 from __future__ import annotations
@@ -44,14 +53,30 @@ class VerificationReport:
         return "FAIL: " + ", ".join(bits)
 
 
+def _is_image(src: Graph, dst: Graph, pi) -> bool:
+    """pi, src position -> dst position, is a bijection carrying src's
+    pairs onto exactly dst's."""
+    n = dst.num_vertices
+    if len(pi) != src.num_vertices or sorted(pi) != list(range(n)):
+        return False
+    # Pairs (x, y), x < y, as keys x*n + y: sorting the keys sorts the pairs.
+    keys = [x * n + y if x < y else y * n + x
+            for x, y in [(pi[a], pi[b]) for a, b in src.pairs]]
+    keys.sort()
+    return keys == [x * n + y for x, y in dst.pairs]
+
+
 def verify_decomposition(
-    target: Graph, parts, lower: int | None = None
+    target: Graph, parts, lower: int | None = None, images=None
 ) -> VerificationReport:
     """Check edge coverage, disjointness, and per-part planarity.
 
     When a lower bound is supplied and the part count meets it, the report is
     marked OPTIMAL; otherwise optimality stays NOT_CERTIFIED.  Defect lists
-    are sorted, so reports are deterministic.
+    are sorted, so reports are deterministic.  images, if given, holds per
+    part None or (j, pi) with j < i, pi mapping part j's vertex positions to
+    part i's; a map that passes the check in the module docstring hands part
+    i part j's planarity verdict, and any other part is tested.
     """
     parts = list(parts)
     # Integer vertex ids: the target's indices, then each vertex that only
@@ -87,7 +112,16 @@ def verify_decomposition(
     overlap = sorted(
         (label_edge(key), tuple(idx)) for key, idx in holders.items() if len(idx) > 1
     )
-    nonplanar = [i for i, part in enumerate(parts) if not is_planar(part).planar]
+    images = list(images or ())
+    images += [None] * (len(parts) - len(images))
+    planar: list[bool] = []
+    for i, (part, image) in enumerate(zip(parts, images)):
+        j, pi = image or (i, ())
+        if 0 <= j < i and _is_image(parts[j], part, pi):
+            planar.append(planar[j])
+        else:
+            planar.append(is_planar(part).planar)
+    nonplanar = [i for i, ok in enumerate(planar) if not ok]
     passed = not (missing or extra or overlap or nonplanar)
     optimality = OPTIMAL if passed and lower is not None and len(parts) == lower else NOT_CERTIFIED
     return VerificationReport(

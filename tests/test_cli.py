@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from kronthick import cli, constructions, verification
 from kronthick.bounds import theta_kn_times_k2, theta_knnn_times_k2
 from kronthick.cli import main
 from kronthick.constructions import Decomposition, chen_yin_k4p4p
@@ -278,6 +279,52 @@ def test_decompose_builds_no_label_edges(monkeypatch, capsys, argv):
     assert expected[0] == 0
 
 
+@pytest.mark.parametrize(
+    "command,lr_calls",
+    [
+        ("decompose kn_x_k2 16", 1),
+        ("decompose kn_x_k2 17", 2),
+        ("decompose kn_x_k2 18", 2),
+        ("decompose kn_x_k2 19", 2),
+        ("decompose kn_x_k2 64", 1),
+        ("decompose kn_x_k2 256", 1),
+        ("decompose knn 1", 2),
+        ("decompose knn 4", 2),
+        ("decompose knnn_x_k2 4", 2),
+        ("decompose knnn_x_k2 8", 2),
+        ("decompose knnn_x_k2 9", 2),
+        ("decompose knnn_x_k2 13", 2),
+        ("decompose knnn_x_k2 7 --seed", 3 + 2),
+        ("table kn_x_k2 2..12", 17),
+    ],
+)
+def test_lr_runs_only_on_parts_without_an_image(monkeypatch, capsys, command, lr_calls):
+    # Every part a construction maps from an earlier one must take that
+    # part's verdict: the LR test sees exactly the parts whose image is
+    # None, over every verification the command makes (a seed's included).
+    tested, unmapped = [], []
+    planar = verification.is_planar
+    verify = verification.verify_decomposition
+
+    def counting_planar(g):
+        tested.append(g)
+        return planar(g)
+
+    def recording_verify(target, parts, lower=None, images=None):
+        parts = list(parts)
+        unmapped.extend(g for g, image in zip(parts, images or [None] * len(parts))
+                        if image is None)
+        return verify(target, parts, lower, images)
+
+    monkeypatch.setattr(verification, "is_planar", counting_planar)
+    for mod in (cli, constructions):
+        monkeypatch.setattr(mod, "verify_decomposition", recording_verify)
+    argv = command.replace("--seed", f"--seed {SEED_PATH}").split()
+    assert run(capsys, *argv)[0] == 0
+    assert [id(g) for g in tested] == [id(g) for g in unmapped]
+    assert len(tested) == lr_calls
+
+
 def test_decompose_usage_errors(capsys):
     assert run(capsys, "decompose", "nonsense", "3")[0] == 2
     assert run(capsys, "decompose", "kn_x_k2", "1")[0] == 2
@@ -522,6 +569,25 @@ def test_table_csv_byte_stable(capsys):
     a = run(capsys, "table", "kn_x_k2", "2..10", "--csv")[1]
     b = run(capsys, "table", "kn_x_k2", "2..10", "--csv")[1]
     assert a == b
+
+
+# (exit code, sha256 of stdout) of table --csv, recorded with the code that
+# ran the planarity test on every part.  The p = 1 seed cannot serve the
+# p = 2 rows n = 10, 11, so the seeded 1..13 sweep exits 3 with no output.
+_TABLE_SHA256 = {
+    "kn_x_k2 2..64": (0, "2d911566e7129e883a25e79c9a5783ed771a022916e30c248ad12248b7b13c99"),
+    "knn 1..8": (0, "6d657ba17317be95fcc0b885c4b965beeb3f0376d6d1d4c524d87e28ebb79849"),
+    "knnn_x_k2 1..13": (0, "4749e849e38ea8528c65fc90d3280154a1b3fc92be13523301bfad96baca3dbc"),
+    "knnn_x_k2 1..9 --seed": (0, "3e724a76cc134ee2feeae06fb05035b0fc427a0b624bd1d92ed18eeb464fb6d6"),
+    "knnn_x_k2 1..13 --seed": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("case", _TABLE_SHA256)
+def test_table_csv_pinned(capsys, case):
+    argv = case.replace("--seed", f"--seed {SEED_PATH}").split()
+    code, out = run(capsys, "table", *argv, "--csv")
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == _TABLE_SHA256[case]
 
 
 def test_table_text_mode_has_header(capsys):

@@ -152,9 +152,9 @@ def test_odd_case_restricts_even_case():
 
 def test_three_block_copies_are_vertex_disjoint():
     pairs = _chen_yin_part_edges(2, 1)
-    one = _place(pairs, _UV)
+    one, _ = _place(pairs, _UV)
     for blocks in (_BLOCKS_LAYER1, _BLOCKS_LAYER2):
-        three = _place(pairs, blocks)
+        three, _ = _place(pairs, blocks)
         assert three.num_vertices == 3 * one.num_vertices
         assert three.num_edges == 3 * one.num_edges
         classes = {frozenset(b) for b in blocks}
@@ -174,18 +174,24 @@ def test_seed_part_with_foreign_vertex_rejected():
         lemma46_assemble(1, _seed_with_extra_vertex(VertexLabel(Family.X, 1)))
 
 
-def test_isolated_seed_vertex_is_placed_on_its_copies():
-    # A valid K_{7,7} seed's large parts span all 14 vertices, so an
-    # isolated u_7 is made here by dropping its edges from part 0's pairs.
-    pairs, vs, us = _seed_part_pairs(bundled_seed().parts[0])
-    assert 7 in us
-    rest = [(a, b) for a, b in pairs if b != 7]
-    for blocks, added in ((_BLOCKS_LAYER1, ["x2_7", "y2_7", "z2_7"]),
-                          (_BLOCKS_LAYER2, ["x1_7", "y1_7", "z1_7"])):
-        bare = _place(rest, blocks)
-        g = _place(rest, blocks, vs=vs, us=us)
-        assert sorted(v.name for v in set(g.vertices) - set(bare.vertices)) == added
-        assert g.edges == bare.edges
+def test_valid_seed_large_parts_span_every_vertex():
+    # (p+1)(4m-4) = m*m - 1 edges fill the large parts to the bipartite
+    # planar limit 2v-4, so each spans all 2m vertices of K_{m,m}: the
+    # pairs alone place every seed vertex, isolated or not.
+    seed = bundled_seed()
+    validate_seed(seed)
+    for part in seed.parts[:-1]:
+        pairs = _seed_part_pairs(part)
+        assert part.num_edges == 4 * 7 - 4
+        assert {a for a, _ in pairs} == {b for _, b in pairs} == set(range(1, 8))
+    # One edge fewer leaves a part below the limit, and the seed no longer
+    # covers K_{7,7}; so does isolating u_7 in a part that still lists it.
+    first = seed.parts[0]
+    u7 = VertexLabel(Family.U, 7)
+    for part in (_without_first_edge(first),
+                 Graph(first.vertices, [e for e in first.edges if u7 not in e])):
+        with pytest.raises(SeedInvalidError, match="missing"):
+            validate_seed(replace(seed, parts=(part,) + seed.parts[1:]))
 
 
 @pytest.mark.parametrize(
@@ -454,3 +460,9 @@ def test_decomposition_record_shape():
     assert isinstance(d, Decomposition)
     assert isinstance(d.parts, tuple)
     assert d.provenance
+
+
+def test_decomposition_images_are_not_compared():
+    d = chen_yin_k4p4p(3)
+    assert [image and image[0] for image in d.images] == [None, 0, 0, None]
+    assert replace(d, images=None) == d

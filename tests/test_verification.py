@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kronthick import verification
 from kronthick.constructions import chen_yin_k4p4p
 from kronthick.graphs import (
     Family,
     Graph,
+    VertexLabel,
     edge,
     make_complete,
     make_complete_bipartite,
@@ -139,3 +147,75 @@ def test_verify_tolerates_parts_missing_isolated_vertices():
     parts = [Graph(set(sum(([a, b] for a, b in (e1, e2)), [])), [e1, e2]),
              Graph(set(sum(([a, b] for a, b in (e3, e4)), [])), [e3, e4])]
     assert verify_decomposition(target, parts).passed
+
+
+# ============================================================
+# Vertex maps between parts
+# ============================================================
+
+
+def _double_fan(n: int) -> list[tuple[int, int]]:
+    """A maximal planar graph on 1..n: hubs 1 and 2 joined to each other
+    and to the path 3..n; any subset of its edges is planar."""
+    return ([(1, 2)] + [(h, i) for h in (1, 2) for i in range(3, n + 1)]
+            + [(i, i + 1) for i in range(3, n)])
+
+
+_K5 = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+_VALID = ["valid", "valid-nonplanar"]
+_BOGUS = ["non-bijection", "short", "long", "out-of-range", "j-is-i", "j-past-i",
+          "j-negative", "missing-edge", "nonplanar-target", "nonplanar-source"]
+
+
+@given(st.data(), st.sampled_from(_VALID + ["none"] + _BOGUS))
+def test_part_maps_never_change_a_report(data, kind):
+    # Part 1 is a relabelled copy of part 0, and part 1's image is a valid
+    # map from part 0, no map, or a bogus one.  A valid map saves part 1's
+    # LR run; anything else costs it, and no report changes.
+    nx = pytest.importorskip("networkx")
+    n = data.draw(st.integers(min_value=5, max_value=8), label="n")
+    fan = _double_fan(n)
+    base = data.draw(st.lists(st.sampled_from(fan), min_size=1, unique=True), label="edges")
+    if kind == "valid-nonplanar":
+        base = sorted(set(base) | set(_K5))
+    sigma = dict(zip(range(1, n + 1), data.draw(st.permutations(range(1, n + 1)), label="sigma")))
+
+    def part(edges, layer, relabel=lambda i: i):
+        vs = [VertexLabel(Family.PLAIN, relabel(i), layer) for i in range(1, n + 1)]
+        return Graph(vs, [(vs[a - 1], vs[b - 1]) for a, b in edges])
+
+    src, dst = part(base, 1), part(base, 2, sigma.get)
+    target = Graph(src.vertices + dst.vertices, src.edges + dst.edges)
+    at = {v: k for k, v in enumerate(dst.vertices)}
+    pi = [at[VertexLabel(Family.PLAIN, sigma[v.index], 2)] for v in src.vertices]
+    j = {"j-is-i": 1, "j-past-i": 2, "j-negative": -1}.get(kind, 0)
+    if kind == "non-bijection":
+        pi[0] = pi[1]
+    elif kind in ("short", "long"):
+        pi = pi[:-1] if kind == "short" else pi + [pi[0]]
+    elif kind == "out-of-range":
+        pi[data.draw(st.integers(0, n - 1), label="k")] = data.draw(st.sampled_from([n, -1]))
+    elif kind == "missing-edge":
+        gone = data.draw(st.sampled_from(base), label="gone")
+        dst = part([e for e in base if e != gone], 2, sigma.get)
+    elif kind == "nonplanar-target":
+        dst = part(set(base) | set(_K5), 2, sigma.get)
+    elif kind == "nonplanar-source":
+        src = part(set(base) | set(_K5), 1)
+    parts = [src, dst]
+    images = [None, None if kind == "none" else (j, pi)]
+
+    tested = []
+    planar = verification.is_planar
+    with mock.patch.object(verification, "is_planar",
+                           lambda g: tested.append(g) or planar(g)):
+        report = verify_decomposition(target, parts, images=images)
+    assert len(tested) == (1 if kind in _VALID else 2)
+    assert report == verify_decomposition(target, parts)
+
+    def nx_planar(g):
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(g.vertices)
+        return nx.check_planarity(h)[0]
+
+    assert list(report.nonplanar_parts) == [i for i, g in enumerate(parts) if not nx_planar(g)]
