@@ -4,10 +4,18 @@ The decision procedure is the left-right criterion: one DFS orients the graph
 and computes lowpoints and a nesting order, a second DFS maintains a stack of
 conflict pairs of return-edge intervals and rejects exactly the non-planar
 inputs, and a final pass resolves the side of every edge into a rotation
-system (clockwise neighbor order per vertex).  The core works on integer ids
-throughout: vertices are 0..n-1, edges are numbered in the order they are
-oriented, and every per-vertex or per-edge value is a list entry.  All three
-passes are iterative, so deep graphs cannot overflow the interpreter stack.
+system (clockwise neighbor order per vertex).
+
+The core is one flat kernel on integer ids.  Vertices are 0..n-1; edges are
+0..m-1, numbered in DFS order, i.e. the order the first DFS orients them; every
+per-vertex or per-edge value is an entry of a list allocated up front.  Each
+DFS walks a per-vertex neighbor iterator, and finishing an edge, integrating it
+into the edge below it and trimming the back edges that end at a vertex are
+written into the loops, not called; the one helper merges conflict pairs.  A
+conflict pair is four ints (L.low, L.high, R.low, R.high), edge ids or -1, kept
+as a tuple on the stack and unpacked into locals wherever it is read.  All
+three passes are iterative, so deep graphs cannot overflow the interpreter
+stack.
 
 Every planar verdict is checked on the core's integer ids before it is mapped
 back to labels: each vertex's rotation must list exactly its input neighbors,
@@ -58,43 +66,35 @@ def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
     """Run the left-right test on the simple graph with vertices 0..n-1.
 
     Edges are integer ids 0..m-1, numbered in the order the first DFS orients
-    them; edge e runs from src[e] to dst[e], and every per-edge value lives in
-    a list indexed by e.  -1 stands for "no vertex" or "no edge".
+    them; edge e runs from the vertex whose adj_out lists it to dst[e], and
+    every per-edge value lives in a list indexed by e.  -1 stands for "no
+    vertex" or "no edge".
 
     Returns (True, rotation) when planar (rotation is None unless
     want_embedding), else (False, None).
     """
-    if sum(map(len, adj)) > 2 * euler_max_edges(n):  # Euler edge prefilter
+    deg = sum(map(len, adj))
+    if deg > 2 * euler_max_edges(n):  # Euler edge prefilter
         return False, None
+    m = deg // 2
     height = [-1] * n
     parent_edge = [-1] * n
-    src: list[int] = []
-    dst: list[int] = []
-    lowpt: list[int] = []
-    lowpt2: list[int] = []
-    nesting: list[int] = []
+    dst = [-1] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
     adj_out: list[list[int]] = [[] for _ in range(n)]
     roots: list[int] = []
-
-    def finish_edge(ei):
-        # nesting depth and lowpoint propagation once ei's subtree is done
-        v = src[ei]
-        nesting[ei] = 2 * lowpt[ei] + (1 if lowpt2[ei] < height[v] else 0)
-        pe = parent_edge[v]
-        if pe != -1:
-            if lowpt[ei] < lowpt[pe]:
-                lowpt2[pe] = min(lowpt[pe], lowpt2[ei])
-                lowpt[pe] = lowpt[ei]
-            elif lowpt[ei] > lowpt[pe]:
-                lowpt2[pe] = min(lowpt2[pe], lowpt[ei])
-            else:
-                lowpt2[pe] = min(lowpt2[pe], lowpt2[ei])
 
     # ---- phase 1: orientation ----
     # In a DFS of a simple graph a visited neighbor w of v is the parent, a
     # finished descendant whose edge to v is already oriented, or an ancestor
-    # above the parent: only the last one gives a new (back) edge.
-    ptr = [0] * n
+    # above the parent: only the last one gives a new (back) edge.  A back edge
+    # is finished at once, a tree edge when its head is done; finishing an edge
+    # sets its nesting depth and passes its lowpoints to the edge entering its
+    # source.
+    its = list(map(iter, adj))
+    ei = 0
     for s in range(n):
         if height[s] != -1:
             continue
@@ -104,159 +104,178 @@ def _lr_core(n: int, adj: list[list[int]], want_embedding: bool):
         while stack:
             v = stack[-1]
             hv = height[v]
-            while ptr[v] < len(adj[v]):
-                w = adj[v][ptr[v]]
-                ptr[v] += 1
+            pe = parent_edge[v]
+            out = adj_out[v]
+            for w in its[v]:
                 hw = height[w]
-                if hw != -1 and hw >= hv - 1:
-                    continue
-                ei = len(src)
-                src.append(v)
-                dst.append(w)
-                adj_out[v].append(ei)
-                lowpt2.append(hv)
-                nesting.append(0)
                 if hw == -1:  # tree edge
-                    lowpt.append(hv)
+                    dst[ei] = w
+                    out.append(ei)
+                    lowpt[ei] = lowpt2[ei] = hv
                     parent_edge[w] = ei
                     height[w] = hv + 1
                     stack.append(w)
+                    ei += 1
                     break
-                lowpt.append(hw)  # back edge
-                finish_edge(ei)
+                if hw < hv - 1:  # back edge: lowpt hw, lowpt2 hv, nesting 2 hw
+                    dst[ei] = w
+                    out.append(ei)
+                    lowpt[ei] = hw
+                    lowpt2[ei] = hv
+                    nesting[ei] = 2 * hw
+                    # lowpt2[pe] <= hv - 1, so hv never lowers it
+                    lp = lowpt[pe]
+                    if hw < lp:
+                        lowpt2[pe] = lp
+                        lowpt[pe] = hw
+                    elif hw > lp and hw < lowpt2[pe]:
+                        lowpt2[pe] = hw
+                    ei += 1
             else:  # no tree edge left to descend: v is done
                 stack.pop()
-                pe = parent_edge[v]
-                if pe != -1:
-                    finish_edge(pe)
+                if pe == -1:
+                    continue
+                lo = lowpt[pe]
+                lo2 = lowpt2[pe]
+                nesting[pe] = 2 * lo + (lo2 < hv - 1)
+                up = parent_edge[stack[-1]]
+                if up == -1:
+                    continue
+                lp = lowpt[up]
+                if lo < lp:
+                    lowpt2[up] = lp if lp < lo2 else lo2
+                    lowpt[up] = lo
+                elif lo > lp:
+                    if lo < lowpt2[up]:
+                        lowpt2[up] = lo
+                elif lo2 < lowpt2[up]:
+                    lowpt2[up] = lo2
 
-    m = len(src)
-    ordered = [sorted(out, key=nesting.__getitem__) for out in adj_out]
+    ordered = [sorted(out, key=nesting.__getitem__) if len(out) > 1 else out for out in adj_out]
 
     # ---- phase 2: testing ----
-    # A conflict pair is [L.low, L.high, R.low, R.high]; an interval is empty
-    # when both its ends are -1.  bottom[e] is len(S) when e is entered.
-    S: list[list[int]] = []
+    # A conflict pair is the tuple (L.low, L.high, R.low, R.high), unpacked
+    # into four ints wherever it is read; an interval is empty when both its
+    # ends are -1.  bottom[e] is len(S) when e is entered.
+    S: list[tuple[int, int, int, int]] = []
     bottom = [0] * m
     lowpt_edge = [-1] * m
     ref = [-1] * m
     side = [1] * m
 
-    def lowest(P):
-        if P[0] == -1 and P[1] == -1:
-            return lowpt[P[2]]
-        if P[2] == -1 and P[3] == -1:
-            return lowpt[P[0]]
-        return min(lowpt[P[0]], lowpt[P[2]])
-
     def add_constraints(ei, e) -> bool:
-        P = [-1, -1, -1, -1]
+        # the new pair P is built in pll, plh, prl, prh
+        pll = plh = prl = prh = -1
         # merge return edges of ei into P.R
+        le = lowpt[e]
+        base = bottom[ei]
         while True:
-            Q = S.pop()
-            if Q[0] != -1 or Q[1] != -1:
-                Q[:] = Q[2], Q[3], Q[0], Q[1]
-            if Q[0] != -1 or Q[1] != -1:
-                return False
-            if lowpt[Q[2]] > lowpt[e]:
-                if P[2] == -1 and P[3] == -1:
-                    P[3] = Q[3]
+            ql, qh, rl, rh = S.pop()
+            if ql != -1 or qh != -1:
+                if rl != -1 or rh != -1:
+                    return False
+                rl, rh = ql, qh
+            if lowpt[rl] > le:
+                if prl == -1 and prh == -1:
+                    prh = rh
                 else:
-                    ref[P[2]] = Q[3]
-                P[2] = Q[2]
+                    ref[prl] = rh
+                prl = rl
             else:
                 # align with the lowest return edge of e
-                ref[Q[2]] = lowpt_edge[e]
-            if len(S) == bottom[ei]:
+                ref[rl] = lowpt_edge[e]
+            if len(S) == base:
                 break
         # merge return edges of earlier siblings that conflict with ei into P.L;
         # an interval conflicts with ei when its high end returns above lowpt[ei]
         lo = lowpt[ei]
-        while (
-            S[-1][1] != -1 and lowpt[S[-1][1]] > lo
-            or S[-1][3] != -1 and lowpt[S[-1][3]] > lo
-        ):
-            Q = S.pop()
-            if Q[3] != -1 and lowpt[Q[3]] > lo:
-                Q[:] = Q[2], Q[3], Q[0], Q[1]
-            if Q[3] != -1 and lowpt[Q[3]] > lo:
-                return False
-            if P[2] != -1:
-                ref[P[2]] = Q[3]
-            if Q[2] != -1:
-                P[2] = Q[2]
-            if P[0] == -1 and P[1] == -1:
-                P[1] = Q[1]
+        while True:
+            ql, qh, rl, rh = S[-1]
+            if rh != -1 and lowpt[rh] > lo:
+                if qh != -1 and lowpt[qh] > lo:
+                    return False
+                ql, qh, rl, rh = rl, rh, ql, qh
+            elif qh == -1 or lowpt[qh] <= lo:
+                break
+            S.pop()
+            if prl != -1:
+                ref[prl] = rh
+            if rl != -1:
+                prl = rl
+            if pll == -1 and plh == -1:
+                plh = qh
             else:
-                ref[P[0]] = Q[1]
-            P[0] = Q[0]
-        if P != [-1, -1, -1, -1]:
-            S.append(P)
+                ref[pll] = qh
+            pll = ql
+        if pll != -1 or plh != -1 or prl != -1 or prh != -1:
+            S.append((pll, plh, prl, prh))
         return True
 
-    def integrate(ei, v) -> bool:
-        # fold the finished edge ei into the edge entering its source v
-        if lowpt[ei] >= height[v]:  # no return edge below v
-            return True
-        e = parent_edge[v]
-        if ei == ordered[v][0]:
-            lowpt_edge[e] = lowpt_edge[ei]
-            return True
-        return add_constraints(ei, e)
-
-    def trim_back_edges(u):
-        hu = height[u]
-        while S and lowest(S[-1]) == hu:
-            P = S.pop()
-            if P[0] != -1:
-                side[P[0]] = -1
-        if S:
-            P = S[-1]
-            while P[1] != -1 and dst[P[1]] == u:
-                P[1] = ref[P[1]]
-            if P[1] == -1 and P[0] != -1:
-                ref[P[0]] = P[2]
-                side[P[0]] = -1
-                P[0] = -1
-            while P[3] != -1 and dst[P[3]] == u:
-                P[3] = ref[P[3]]
-            if P[3] == -1 and P[2] != -1:
-                ref[P[2]] = P[0]
-                side[P[2]] = -1
-                P[2] = -1
-
-    ptr = [0] * n
+    its = list(map(iter, ordered))
     for s in roots:
         stack = [s]
         while stack:
             v = stack[-1]
-            if ptr[v] < len(ordered[v]):
-                ei = ordered[v][ptr[v]]
-                ptr[v] += 1
+            for ei in its[v]:
                 w = dst[ei]
                 bottom[ei] = len(S)
                 if ei == parent_edge[w]:  # tree edge: integrated once w is done
                     stack.append(w)
-                else:  # back edge
-                    lowpt_edge[ei] = ei
-                    S.append([-1, -1, ei, ei])
-                    if not integrate(ei, v):
-                        return False, None
-                continue
-            # all outgoing edges of v done: fold the tree edge into v's parent
-            stack.pop()
-            e = parent_edge[v]
-            if e != -1:
-                u = src[e]
-                trim_back_edges(u)
-                if lowpt[e] < height[u]:  # e has a return edge
-                    hl, hr = S[-1][1], S[-1][3]
+                    break
+                # back edge: it returns below v, so it is integrated at once
+                lowpt_edge[ei] = ei
+                S.append((-1, -1, ei, ei))
+                e = parent_edge[v]
+                if ei == ordered[v][0]:
+                    lowpt_edge[e] = ei
+                elif not add_constraints(ei, e):
+                    return False, None
+            else:  # all outgoing edges of v done: fold the tree edge into v's parent
+                stack.pop()
+                e = parent_edge[v]
+                if e == -1:
+                    continue
+                u = stack[-1]
+                hu = height[u]
+                # drop the pairs whose lowest return edge ends at u, then the
+                # return edges ending at u from the high ends of the top pair
+                while S:
+                    ql, qh, rl, rh = S[-1]
+                    if ql == -1 and qh == -1:
+                        low = lowpt[rl]
+                    elif rl == -1 and rh == -1:
+                        low = lowpt[ql]
+                    else:
+                        low = min(lowpt[ql], lowpt[rl])
+                    if low != hu:
+                        while qh != -1 and dst[qh] == u:
+                            qh = ref[qh]
+                        if qh == -1 and ql != -1:
+                            ref[ql] = rl
+                            side[ql] = -1
+                            ql = -1
+                        while rh != -1 and dst[rh] == u:
+                            rh = ref[rh]
+                        if rh == -1 and rl != -1:
+                            ref[rl] = ql
+                            side[rl] = -1
+                            rl = -1
+                        S[-1] = (ql, qh, rl, rh)
+                        break
+                    S.pop()
+                    if ql != -1:
+                        side[ql] = -1
+                if lowpt[e] < hu:  # e has a return edge: integrate it into u
+                    _, hl, _, hr = S[-1]
                     if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
                         ref[e] = hl
                     else:
                         ref[e] = hr
-                if not integrate(e, u):
-                    return False, None
+                    pe = parent_edge[u]
+                    if e == ordered[u][0]:
+                        lowpt_edge[pe] = lowpt_edge[e]
+                    elif not add_constraints(e, pe):
+                        return False, None
 
     if not want_embedding:
         return True, None

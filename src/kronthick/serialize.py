@@ -62,6 +62,8 @@ def vertex_from_object(obj) -> VertexLabel | ProductVertex:
         if not isinstance(left, VertexLabel) or not isinstance(right, VertexLabel):
             raise DocumentFormatError("pair vertices cannot nest")
         return ProductVertex(left, right)
+    if not obj.keys() <= {"family", "index", "layer"}:
+        raise DocumentFormatError(f"vertex object allows only family/index/layer: {obj!r}")
     try:
         family = _FAMILIES_BY_NAME[obj["family"]]
         index = obj["index"]

@@ -459,6 +459,7 @@ def _add_edge(make):
         _set(["provenance", "theorem"], {"a": 1}),
         _reuse_with_index_true,
         _drop_first_vertex,
+        _set(["parts", 0, "vertices", 0, "colour"], 1),
     ],
     ids=[
         "parts-int", "parts-object", "vertices-int", "edges-object",
@@ -466,6 +467,7 @@ def _add_edge(make):
         "layer-bool", "family-list", "edge-ref-list", "edge-twice",
         "edge-reversed", "self-loop", "empty-target", "guarantee-list",
         "theorem-object", "later-part-index-true", "edge-names-unlisted-vertex",
+        "vertex-unknown-key",
     ],
 )
 def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):
