@@ -182,7 +182,7 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     d = decomposition_from_document(load_json(args.path))
     report = verify_decomposition(
-        d.target, d.parts, lower=thickness_lower_bound(d.target)
+        d.target, d.parts, lower=thickness_lower_bound(d.target), claim=d.guarantee
     )
     if args.quiet:
         print("PASS" if report.passed else "FAIL")

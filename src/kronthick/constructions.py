@@ -10,25 +10,30 @@ VertexLabel(Family.X, i, 1).  Each part is built once, as one Graph, from
 index pairs (a, b), each the edge v_a u_b of a bipartite part, placed on
 (family, layer) blocks: K_{4p,4p} keeps the layerless v/u families,
 K_n x K_2 puts v on layer 1 and u on layer 2, and K_{n,n,n} x K_2 copies a
-part three times around the x -> y -> z family cycle; the Graph gets the
-sorted position pairs, with no label edges in between.  Index pairs are the
-only edge currency: every edge of K_{n,n,n} x K_2 joins two families on
-opposite layers, so it lies in exactly one of the six blocks, and the
-edges the tripartite lemmas add or delete are pairs on named blocks.  A
-layer-2 part is its layer-1 partner on swapped blocks, and odd K_n x K_2
-keeps the pairs of n+1 that stay on indices <= n.  Only K_{n,n,n} x K_2,
-n = 2 (mod 4), is built larger and induced on the indices <= n.
+part three times around the x -> y -> z family cycle.  Each builder makes
+its target first, and a block index goes straight to its target position
+by the arithmetic _positions names, so a part is the target's own labels at
+the positions its edges touch: no label is made or sorted, and the Graph
+gets the sorted position pairs.  Index pairs are the only edge currency:
+every edge of K_{n,n,n} x K_2 joins two families on opposite layers, so
+it lies in exactly one of the six blocks, and the edges the tripartite
+lemmas add or delete are pairs on named blocks.  A layer-2 part is its
+layer-1 partner on swapped blocks, and odd K_n x K_2 keeps the pairs of
+n+1 that stay on indices <= n.  Only K_{n,n,n} x K_2, n = 2 (mod 4), is
+built larger and induced on the indices <= n.
 
 Most parts are relabelled copies of an earlier part, under an index-block
 swap or shift or a layer flip.  The builders say so in Decomposition.images,
-vertex maps read off the positions _place assigns; the verifier checks each
-map and then skips that part's planarity test.
+vertex maps that the same position arithmetic gives; the verifier checks
+each map and then skips that part's planarity test.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
+from operator import floordiv, mod
 
 from .bounds import (
     LEMMA_3_2,
@@ -49,7 +54,6 @@ from .errors import (
 from .graphs import (
     Family,
     Graph,
-    VertexLabel,
     induced_subgraph,
     make_complete,
     make_complete_bipartite,
@@ -101,14 +105,14 @@ class Decomposition:
 
 
 # ============================================================
-# Placing index pairs on label blocks
+# Placing index pairs on target positions
 # ============================================================
 
 # Every part is a list of index pairs (a, b), each the edge v_a u_b of a
 # bipartite part, placed on one or more blocks.  A block
 # ((family, layer), (family, layer)) takes v_a to its first class and u_b
-# to its second.
-_UV = (((Family.V, None), (Family.U, None)),)
+# to its second; layer 0 is a layerless class.
+_UV = (((Family.V, 0), (Family.U, 0)),)
 _CROWN = (((Family.PLAIN, 1), (Family.PLAIN, 2)),)
 # The two three-block layouts of the tripartite constructions: vertex-
 # disjoint copies around the x -> y -> z family cycle, so planarity of the
@@ -125,6 +129,7 @@ _BLOCKS_LAYER2 = (
     ((Family.Z, 2), (Family.X, 1)),
 )
 _SIX_BLOCKS = _BLOCKS_LAYER1 + _BLOCKS_LAYER2
+_XYZ = (Family.X, Family.Y, Family.Z)
 
 # A layer-2 part is its layer-1 partner with _BLOCKS_LAYER1[k] and
 # _BLOCKS_LAYER2[k] swapped.
@@ -136,67 +141,86 @@ def _swapped(edits: dict) -> dict:
     return {_SWAP[blk]: pairs for blk, pairs in edits.items()}
 
 
-def _place(pairs: list, blocks, adds=None, dels=None) -> tuple[Graph, dict]:
-    """Build one part: the index pairs on every block, edited per block.
+def _positions(families, n: int, layered: bool) -> dict:
+    """Where the target puts each class: (family, layer) -> (offset, step),
+    index a at position offset + step * a.
+
+    The targets list each family's indices 1..n in turn, and a K_2
+    product lists each index on layer 1, then layer 2.  So the crown label
+    p{l}_i sits at 2(i-1) + (l-1); K_{m,m} has u_i at i-1 and v_i at
+    m+i-1; and the tripartite x{l}_i, y{l}_i, z{l}_i, family-major, sit at
+    2n f + 2(i-1) + (l-1) for the family's rank f.
+    """
+    if not layered:
+        return {(f, 0): (r * n - 1, 1) for r, f in enumerate(families)}
+    return {(f, l): (2 * r * n + l - 3, 2) for r, f in enumerate(families) for l in (1, 2)}
+
+
+def _place(target: Graph, at: dict, pairs: list, blocks, adds=None, dels=None
+           ) -> tuple[Graph, dict]:
+    """Build one part of target: the index pairs on every block, edited per block.
 
     adds and dels map a block, one of blocks or any other, to index pairs:
     on that block the pairs dels are removed and then adds are added,
-    endpoints included.  Each label is made once and all are sorted once;
-    each block index then maps to its label's position, and the Graph gets
-    the sorted position pairs.  Returns the part and those positions,
-    class -> {index: position}.
+    endpoints included.  at gives each class's target positions, as
+    _positions does.  The part's vertices are the target's at the sorted
+    positions its edges touch, so no label is made or compared.  Returns
+    the part and its vertices' places, target position -> part position.
     """
     adds, dels = adds or {}, dels or {}
-    at: dict = {}  # class -> {index: position}, positions filled in below
-    placed = []
+    big = target.num_vertices
+    keys = set()  # each edge as i * big + j over its target positions i < j
     for blk in set(blocks).union(adds):
-        own = blk in blocks
-        doomed = dels.get(blk, ())
-        ps = [e for e in pairs if own and e not in doomed] + adds.get(blk, [])
-        at_v, at_u = at.setdefault(blk[0], {}), at.setdefault(blk[1], {})
-        at_v.update(dict.fromkeys([a for a, _ in ps]))
-        at_u.update(dict.fromkeys([b for _, b in ps]))
-        placed.append((at_v, at_u, ps))
-    labels = sorted(
-        (VertexLabel(f, i, layer), pos) for (f, layer), pos in at.items() for i in pos
-    )
-    for k, (v, pos) in enumerate(labels):
-        pos[v.index] = k
-    edges = set()
-    for at_v, at_u, ps in placed:
-        for a, b in ps:
-            i, j = at_v[a], at_u[b]
-            edges.add((i, j) if i < j else (j, i))
-    return Graph._trusted(tuple([v for v, _ in labels]), tuple(sorted(edges))), at
+        ps = pairs if blk in blocks else []
+        if blk in dels:
+            ps = [e for e in ps if e not in dels[blk]]
+        (ov, sv), (ou, su) = at[blk[0]], at[blk[1]]
+        keys.update([i * big + j if (i := ov + sv * a) < (j := ou + su * b) else j * big + i
+                     for a, b in chain(ps, adds.get(blk, ()))])
+    keys = sorted(keys)
+    rows, cols = list(map(floordiv, keys, repeat(big))), list(map(mod, keys, repeat(big)))
+    ends = sorted(set(rows).union(cols))
+    # the part's positions, one int object per vertex shared by its pairs
+    local = dict(zip(ends, range(len(ends))))
+    vs = target.vertices
+    if len(ends) < big:
+        vs = tuple([vs[k] for k in ends])
+    place = local.__getitem__
+    return Graph._trusted(vs, tuple(zip(map(place, rows), map(place, cols)))), local
 
 
-def _place_all(specs, claims: dict) -> tuple[tuple, tuple]:
+def _place_all(target: Graph, at: dict, specs, claims: dict) -> tuple[tuple, tuple]:
     """The parts _place builds from specs, one argument tuple per part, and
     their Decomposition.images.
 
     claims maps i to (j, index, flip), j < i: part i is part j with each
     label (f, a, layer) relabelled (f, index.get(a, a), layer), the layer
-    flipped if flip is set.  The map is read off the positions _place gave
-    both parts, and the verifier checks it.  Every other part gets None.
+    flipped if flip is set.  at's arithmetic turns that rule into a map of
+    target positions, and the image takes part j's vertices through it to
+    part i's; the verifier checks it.  Every other part gets None.
     """
     sources = {j for j, _, _ in claims.values()}
-    kept: dict = {}  # the positions of the sources, the only ones needed
+    kept: dict = {}  # the places of the sources, the only ones needed
+    n = target.num_vertices // len(at)  # every class holds indices 1..n
     parts, images = [], []
     for i, spec in enumerate(specs):
-        g, at = _place(*spec)
+        g, local = _place(target, at, *spec)
         image = None
         if i in claims:
             j, index, flip = claims[i]
-            pi = [0] * parts[j].num_vertices
-            for (f, layer), pos in kept[j].items():
-                to = at[f, 3 - layer if flip else layer]
-                for a, k in pos.items():
-                    pi[k] = to[index.get(a, a)]
-            image = (j, array("i", pi))  # a quarter of a list's memory
+            move = {}  # target position -> its relabelled position, where they differ
+            for (f, layer), (off, step) in at.items():
+                to_off, to_step = at[f, 3 - layer] if flip else (off, step)
+                for a in range(1, n + 1) if flip else index:
+                    move[off + step * a] = to_off + to_step * index.get(a, a)
+            src = kept[j]  # part j's target positions, in its vertex order
+            # move.get(k, k) keeps a position that move does not list, and
+            # an array takes a quarter of a list's memory
+            image = (j, array("i", map(local.__getitem__, map(move.get, src, src))))
         parts.append(g)
         images.append(image)
         if i in sources:
-            kept[i] = at
+            kept[i] = local
     return tuple(parts), tuple(images)
 
 
@@ -232,28 +256,19 @@ def _chen_yin_part_edges(p: int, r: int) -> list[tuple[int, int]]:
     index classes chosen so the union over r covers every non-matching
     edge exactly once.
     """
-    a1, a2, a3, a4 = _block(r)
-    es: list[tuple[int, int]] = []
-    for a in _block(r):
-        for b in _block(r):
-            if a != b:
-                es.append((a, b))
+    own = _block(r)
+    a1, a2, a3, a4 = own
+    es = [(a, b) for a in own for b in own if a != b]
     for i in range(1, p + 1):
         if i == r:
             continue
         b1, b2, b3, b4 = _block(i)
-        for a in (a1, a3):
-            for b in (b1, b2):
-                es.append((a, b))
-        for a in (a2, a4):
-            for b in (b3, b4):
-                es.append((a, b))
-        for a in (a3, a4):
-            for b in (b1, b3):
-                es.append((b, a))
-        for a in (a1, a2):
-            for b in (b2, b4):
-                es.append((b, a))
+        es += [
+            (a1, b1), (a1, b2), (a3, b1), (a3, b2),  # v_a1, v_a3 to u_b1, u_b2
+            (a2, b3), (a2, b4), (a4, b3), (a4, b4),  # v_a2, v_a4 to u_b3, u_b4
+            (b1, a3), (b3, a3), (b1, a4), (b3, a4),  # v_b1, v_b3 to u_a3, u_a4
+            (b2, a1), (b4, a1), (b2, a2), (b4, a2),  # v_b2, v_b4 to u_a1, u_a2
+        ]
     return es
 
 
@@ -268,10 +283,11 @@ def chen_yin_k4p4p(p: int) -> Decomposition:
         raise InvalidSizeError(f"chen_yin_k4p4p needs p >= 1, got {p}")
     n = 4 * p
     target = make_complete_bipartite(n, n)
+    at = _positions((Family.U, Family.V), n, layered=False)
     specs = [(_chen_yin_part_edges(p, r), _UV) for r in range(1, p + 1)]
     specs.append(([(i, i) for i in range(1, n + 1)], _UV))
     parts, images = _place_all(
-        specs, {r - 1: (0, _swap_blocks(r), False) for r in range(2, p + 1)}
+        target, at, specs, {r - 1: (0, _swap_blocks(r), False) for r in range(2, p + 1)}
     )
     return Decomposition(
         target=target,
@@ -317,16 +333,19 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
     """
     if n < 2:
         raise InvalidSizeError(f"kn_times_k2_decomposition needs n >= 2, got {n}")
+    target = times_k2(make_complete(n))
+    at = _positions((Family.PLAIN,), n, layered=True)
     p, rem = divmod(n + n % 2, 4)
     main = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
     if rem == 2:
         main.append(_g_prime_edges(p))
-    specs = (([(a, b) for a, b in pairs if a <= n and b <= n], _CROWN) for pairs in main)
+    if n % 2:
+        main = [[(a, b) for a, b in pairs if a <= n and b <= n] for pairs in main]
+    specs = ((pairs, _CROWN) for pairs in main)
     swapped = range(2, p + 1 - (n % 4 == 3))
     parts, images = _place_all(
-        specs, {r - 1: (0, _swap_blocks(r), False) for r in swapped}
+        target, at, specs, {r - 1: (0, _swap_blocks(r), False) for r in swapped}
     )
-    target = times_k2(make_complete(n))
     return Decomposition(
         target=target,
         parts=parts,
@@ -354,14 +373,14 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     if p < 1:
         raise InvalidSizeError(f"knnn_times_k2_n0mod4 needs p >= 1, got {p}")
     n = 4 * p
+    target = times_k2(make_complete_tripartite(n, n, n))
     main = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
     specs = [(pairs, _BLOCKS_LAYER1) for pairs in main]
     specs += [(pairs, _BLOCKS_LAYER2) for pairs in main]
     specs.append(([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS))
     claims = {r - 1: (0, _swap_blocks(r), False) for r in range(2, p + 1)}
     claims.update({p + k: (k, {}, True) for k in range(p)})
-    parts, images = _place_all(specs, claims)
-    target = times_k2(make_complete_tripartite(n, n, n))
+    parts, images = _place_all(target, _positions(_XYZ, n, layered=True), specs, claims)
     return Decomposition(
         target=target,
         parts=parts,
@@ -441,6 +460,7 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
             "n = 1 and n = 5 are served by fixtures"
         )
     n = 4 * p + 1
+    target = times_k2(make_complete_tripartite(n, n, n))
     main = [(_chen_yin_part_edges(p, r), *_n1_part_adjustments(p, r))
             for r in range(1, p + 1)]
     specs = [(pairs, _BLOCKS_LAYER1, adds, dels) for pairs, adds, dels in main]
@@ -449,8 +469,7 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
     specs.append(([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))))
     claims = {r - 1: (0, _shift_blocks(p, r - 1), False) for r in range(2, p + 1)}
     claims.update({p + k: (k, {}, True) for k in range(p)})
-    parts, images = _place_all(specs, claims)
-    target = times_k2(make_complete_tripartite(n, n, n))
+    parts, images = _place_all(target, _positions(_XYZ, n, layered=True), specs, claims)
     return Decomposition(
         target=target,
         parts=parts,
@@ -524,13 +543,7 @@ def validate_seed(seed: Decomposition) -> int:
         raise SeedInvalidError(
             f"seed for K_{{{m},{m}}} must have {p + 2} parts, the last a single edge"
         )
-    own = set(seed.target.vertices)
-    for k, part in enumerate(seed.parts):
-        for w in part.vertices:
-            if w not in own:
-                raise SeedInvalidError(
-                    f"seed part {k} has vertex {w.name} outside K_{{{m},{m}}}"
-                )
+    # the verifier also fails a part vertex outside K_{m,m}, isolated or not
     report = verify_decomposition(seed.target, seed.parts)
     if not report.passed:
         raise SeedInvalidError(f"seed fails verification: {report.summary()}")
@@ -560,6 +573,7 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     if seed_p != p:
         raise SeedInvalidError(f"seed is for p = {seed_p}, assembly wants p = {p}")
     m = 4 * p + 3
+    target = times_k2(make_complete_tripartite(m, m, m))
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
     # on the blocks of the other layer group, whose copies do NOT already
     # contain its endpoints' blocks.
@@ -572,14 +586,14 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
         adds = relocated[k] if k < 2 else {}
         h1.append((pairs, _BLOCKS_LAYER1, adds))
         h2.append((pairs, _BLOCKS_LAYER2, _swapped(adds)))
-    parts, images = _place_all(h1 + h2, {p + 1 + k: (k, {}, True) for k in range(p + 1)})
+    claims = {p + 1 + k: (k, {}, True) for k in range(p + 1)}
+    parts, images = _place_all(target, _positions(_XYZ, m, layered=True), h1 + h2, claims)
     # A layer-2 receiving part is planar exactly when its layer-1 partner is.
     for label, g in (("first", parts[0]), ("second", parts[1])):
         if not is_planar(g).planar:
             raise ConstructionConflictError(
                 f"relocated edges made the {label} part nonplanar"
             )
-    target = times_k2(make_complete_tripartite(m, m, m))
     return Decomposition(
         target=target,
         parts=parts,

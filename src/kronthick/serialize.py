@@ -10,7 +10,11 @@ it with ``json.dumps`` directly.  It exists because json falls back to its
 pure-Python encoder whenever an indent is given: this writer escapes
 strings with json's C ``encode_basestring_ascii`` and renders the two bulk
 shapes of a decomposition document at once, lists of [name, name] edge
-pairs and the flat vertex objects that every part repeats.
+pairs and the flat vertex objects that every part repeats.  Both go
+through memos that live for one call, per depth: a name is encoded once,
+as the fragment that opens a pair with it and the one that closes a pair
+with it, so a pair costs two lookups and one join; and a flat object is
+rendered once per distinct items.
 """
 
 from __future__ import annotations
@@ -89,16 +93,17 @@ def _graph_objects(graphs) -> list[dict]:
 
     Edges are named from each graph's index pairs.  Every occurrence of a
     vertex gets its own copy of the object, so no two places in a document
-    share a mutable dict.
+    share a mutable dict; a label's object is flat, so dict copies it.
     """
     vertices = set().union(*(g.vertices for g in graphs))
     name = {v: v.name for v in vertices}
     obj = {v: vertex_object(v) for v in vertices}
+    copy = _copy_object if any(isinstance(v, ProductVertex) for v in vertices) else dict
     docs = []
     for g in graphs:
-        names = [name[v] for v in g.vertices]
+        names = list(map(name.__getitem__, g.vertices))
         docs.append({
-            "vertices": [_copy_object(obj[v]) for v in g.vertices],
+            "vertices": list(map(copy, map(obj.__getitem__, g.vertices))),
             "edges": [[names[i], names[j]] for i, j in g.pairs],
         })
     return docs
@@ -246,7 +251,9 @@ def _edge_names(e) -> list[str]:
 
 
 def report_document(report: VerificationReport) -> dict:
-    return {
+    """The report as a document; the keys of the defects that only some
+    documents can have appear only when there is one."""
+    doc = {
         "passed": report.passed,
         "optimality": report.optimality,
         "coverage_missing": [_edge_names(e) for e in report.coverage_missing],
@@ -257,6 +264,11 @@ def report_document(report: VerificationReport) -> dict:
         ],
         "nonplanar_parts": list(report.nonplanar_parts),
     }
+    if report.foreign_vertices:
+        doc["foreign_vertices"] = [v.name for v in report.foreign_vertices]
+    if report.uncertified_claim:
+        doc["uncertified_claim"] = report.uncertified_claim
+    return doc
 
 
 def bound_report_document(rep: BoundReport) -> dict:
@@ -296,8 +308,9 @@ def load_seed_file(path) -> Decomposition:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# Value types whose equal values always print alike; -0.0 == 0.0 rules out float.
-_MEMO_SCALARS = frozenset((str, int, bool, type(None)))
+# Value types whose equal values always print alike and never equal a value
+# of another of them: 1 == True == 1.0 and -0.0 == 0.0 rule out bool and float.
+_MEMO_SCALARS = frozenset((str, int, type(None)))
 _PAIR_TYPES = frozenset((list, tuple))
 _INF = float("inf")
 
@@ -305,11 +318,14 @@ _INF = float("inf")
 def to_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
 
-    Flat objects of str, int, bool and None are rendered once per content,
-    value types and depth within one call and then reused; a key that
-    holds the value types keeps 1, True and 1.0 apart.
+    A flat object, one whose values are all str, int or None, is keyed on
+    its items alone, since no two such values of different types are equal;
+    an object holding a bool or a float, where 1 == True == 1.0, is not
+    memoised.  A list of flat objects is looked up with no Python call per
+    object.
     """
-    memo: dict = {}
+    flat: dict = {}  # depth -> {items: text of a flat object}
+    ends: dict = {}  # depth -> ({name: opening fragment}, {name: closing fragment})
 
     def value(o, level: int) -> str:
         if isinstance(o, str):
@@ -327,7 +343,9 @@ def to_json(doc) -> str:
         if isinstance(o, (list, tuple)):
             return array(o, level)
         if isinstance(o, dict):
-            return obj(o, level)
+            if _MEMO_SCALARS.issuperset(map(type, o.values())):
+                return flat_objects([o], level)[0]
+            return members(o.items(), level)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     def array(seq, level: int) -> str:
@@ -338,28 +356,39 @@ def to_json(doc) -> str:
         if (types <= _PAIR_TYPES
                 and set(map(len, seq)) == {2}
                 and set(map(type, chain.from_iterable(seq))) == {str}):
+            opening, closing = ends.setdefault(level, ({}, {}))
             nl2 = nl + "  "
-            items = [f"[{nl2}{_encode_str(a)},{nl2}{_encode_str(b)}{nl}]" for a, b in seq]
-        elif types == {dict}:
-            items = [obj(x, level + 1) for x in seq]
+            for name in set(chain.from_iterable(seq)).difference(opening):
+                text = _encode_str(name)
+                opening[name] = f"[{nl2}{text},"
+                closing[name] = f"{nl2}{text}{nl}]"
+            items = [opening[a] + closing[b] for a, b in seq]
+        elif types == {dict} and _MEMO_SCALARS.issuperset(
+                map(type, chain.from_iterable(map(dict.values, seq)))):
+            items = flat_objects(seq, level + 1)
         else:
             items = [value(x, level + 1) for x in seq]
-        return "[" + nl + ("," + nl).join(items) + nl[:-2] + "]"
+        # The brackets go onto the first and last item, so a large text is
+        # copied once, by the join, and not again by each concatenation.
+        items[0] = "[" + nl + items[0]
+        items[-1] += nl[:-2] + "]"
+        return ("," + nl).join(items)
 
-    def obj(d: dict, level: int) -> str:
-        if not d:
+    def flat_objects(objs, level: int) -> list[str]:
+        memo = flat.setdefault(level, {})
+        keys = list(map(tuple, map(dict.items, objs)))
+        for key in set(keys).difference(memo):
+            memo[key] = members(key, level)
+        return list(map(memo.__getitem__, keys))
+
+    def members(items, level: int) -> str:
+        if not items:
             return "{}"
-        types = tuple(map(type, d.values()))
-        key = (level, tuple(d.items()), types) if _MEMO_SCALARS.issuperset(types) else None
-        text = memo.get(key)
-        if text is None:
-            nl = "\n" + "  " * (level + 1)
-            text = "{" + nl + ("," + nl).join(
-                [f"{_encode_str(k)}: {value(x, level + 1)}" for k, x in sorted(d.items())]
-            ) + nl[:-2] + "}"
-            if key is not None:
-                memo[key] = text
-        return text
+        nl = "\n" + "  " * (level + 1)
+        texts = [f"{_encode_str(k)}: {value(x, level + 1)}" for k, x in sorted(items)]
+        texts[0] = "{" + nl + texts[0]
+        texts[-1] += nl[:-2] + "}"
+        return ("," + nl).join(texts)
 
     return value(doc, 0) + "\n"
 

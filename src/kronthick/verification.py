@@ -1,9 +1,10 @@
 """The certifying checker every construction, fixture, and seed must pass.
 
 A decomposition of a target graph is valid when every target edge appears in
-exactly one part, no part carries an edge outside the target, and every part
-is planar.  Vertex coverage is deliberately not required: parts may omit
-vertices they do not touch.
+exactly one part, no part carries an edge or a vertex outside the target,
+and every part is planar.  Vertex coverage is deliberately not required:
+parts may omit vertices they do not touch.  A decomposition that claims to
+be OPTIMAL must also be certified so, or it is not valid either.
 
 A builder that knows part i to be a relabelled copy of an earlier part j
 may say so with a vertex map, and part i then takes part j's planarity
@@ -37,6 +38,8 @@ class VerificationReport:
     nonplanar_parts: tuple  # indices of parts failing planarity
     passed: bool
     optimality: str  # OPTIMAL or NOT_CERTIFIED
+    foreign_vertices: tuple = ()  # part vertices outside the target, sorted
+    uncertified_claim: str | None = None  # a guarantee claimed but not certified
 
     def summary(self) -> str:
         if self.passed:
@@ -48,8 +51,12 @@ class VerificationReport:
             bits.append(f"{len(self.coverage_extra)} extra")
         if self.overlap:
             bits.append(f"{len(self.overlap)} overlapping")
+        if self.foreign_vertices:
+            bits.append(f"{len(self.foreign_vertices)} vertices outside the target")
         if self.nonplanar_parts:
             bits.append(f"non-planar parts {list(self.nonplanar_parts)}")
+        if self.uncertified_claim:
+            bits.append(f"claims {self.uncertified_claim}, not certified")
         return "FAIL: " + ", ".join(bits)
 
 
@@ -57,26 +64,35 @@ def _is_image(src: Graph, dst: Graph, pi) -> bool:
     """pi, src position -> dst position, is a bijection carrying src's
     pairs onto exactly dst's."""
     n = dst.num_vertices
-    if len(pi) != src.num_vertices or sorted(pi) != list(range(n)):
+    if len(pi) != src.num_vertices or len(pi) != n:
         return False
+    seen = [False] * n
+    for x in pi:
+        # a range check first: a negative x would index seen from the end
+        if not 0 <= x < n or seen[x]:
+            return False
+        seen[x] = True
+    p = list(pi)  # list items are ints already; an array makes one per read
     # Pairs (x, y), x < y, as keys x*n + y: sorting the keys sorts the pairs.
-    keys = [x * n + y if x < y else y * n + x
-            for x, y in [(pi[a], pi[b]) for a, b in src.pairs]]
+    keys = [x * n + y if (x := p[a]) < (y := p[b]) else y * n + x for a, b in src.pairs]
     keys.sort()
     return keys == [x * n + y for x, y in dst.pairs]
 
 
 def verify_decomposition(
-    target: Graph, parts, lower: int | None = None, images=None
+    target: Graph, parts, lower: int | None = None, images=None, claim: str | None = None
 ) -> VerificationReport:
-    """Check edge coverage, disjointness, and per-part planarity.
+    """Check edge coverage, disjointness, part vertices and per-part planarity.
 
     When a lower bound is supplied and the part count meets it, the report is
-    marked OPTIMAL; otherwise optimality stays NOT_CERTIFIED.  Defect lists
-    are sorted, so reports are deterministic.  images, if given, holds per
-    part None or (j, pi) with j < i, pi mapping part j's vertex positions to
-    part i's; a map that passes the check in the module docstring hands part
-    i part j's planarity verdict, and any other part is tested.
+    marked OPTIMAL; otherwise optimality stays NOT_CERTIFIED.  claim is the
+    guarantee the decomposition states: a claim of OPTIMAL that the report
+    does not certify fails it, and is reported only when nothing else does.
+    Defect lists are sorted, so reports are deterministic.  images, if
+    given, holds per part None or (j, pi) with j < i, pi mapping part j's
+    vertex positions to part i's; a map that passes the check in the module
+    docstring hands part i part j's planarity verdict, and any other part is
+    tested.
     """
     parts = list(parts)
     # Integer vertex ids: the target's indices, then each vertex that only
@@ -122,13 +138,17 @@ def verify_decomposition(
         else:
             planar.append(is_planar(part).planar)
     nonplanar = [i for i, ok in enumerate(planar) if not ok]
-    passed = not (missing or extra or overlap or nonplanar)
+    foreign = sorted(labels[target.num_vertices:])
+    passed = not (missing or extra or overlap or nonplanar or foreign)
     optimality = OPTIMAL if passed and lower is not None and len(parts) == lower else NOT_CERTIFIED
+    unproven = passed and claim == OPTIMAL and optimality != OPTIMAL
     return VerificationReport(
         coverage_missing=tuple(missing),
         coverage_extra=tuple(extra),
         overlap=tuple(overlap),
         nonplanar_parts=tuple(nonplanar),
-        passed=passed,
+        passed=passed and not unproven,
         optimality=optimality,
+        foreign_vertices=tuple(foreign),
+        uncertified_claim=claim if unproven else None,
     )

@@ -483,6 +483,59 @@ def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):
     assert "Traceback" not in captured.err
 
 
+def _append_empty_part(doc):
+    doc["parts"].append({"vertices": [], "edges": []})
+
+
+def _split_first_part(doc):
+    # a valid decomposition with one part more than the bound allows
+    first = doc["parts"][0]
+    half = len(first["edges"]) // 2
+    doc["parts"].append({"vertices": json.loads(json.dumps(first["vertices"])),
+                         "edges": first["edges"][half:]})
+    del first["edges"][half:]
+
+
+def _duplicate_edge_and_append_empty_part(doc):
+    doc["parts"][1]["edges"].append(doc["parts"][0]["edges"][0])
+    _append_empty_part(doc)
+
+
+@pytest.mark.parametrize(
+    "family, size, mutate, key, value",
+    [
+        ("kn_x_k2", "5", _add_vertex({"family": "X", "index": 1}), "foreign_vertices", ["x_1"]),
+        ("knn", "1", _add_vertex({"family": "U", "index": 9}), "foreign_vertices", ["u_9"]),
+        ("kn_x_k2", "5", _append_empty_part, "uncertified_claim", "OPTIMAL"),
+        ("knn", "1", _split_first_part, "uncertified_claim", "OPTIMAL"),
+        ("kn_x_k2", "8", _duplicate_edge_and_append_empty_part, "uncertified_claim", None),
+    ],
+    ids=["foreign-isolated-vertex", "vertex-only-a-part-has", "empty-part-appended",
+         "inflated-guarantee", "claim-on-a-failing-document"],
+)
+def test_verify_document_with_a_false_claim_exits_1(capsys, tmp_path, family, size, mutate,
+                                                     key, value):
+    doc = json.loads(run(capsys, "decompose", family, size)[1])
+    assert doc["guarantee"] == "OPTIMAL"
+    mutate(doc)
+    path = tmp_path / "false.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(capsys, "verify", str(path))
+    report = json.loads(text)
+    assert code == 1 and report["passed"] is False
+    assert report.get(key) == value
+    assert run(capsys, "verify", str(path), "--quiet") == (1, "FAIL\n")
+    if key == "uncertified_claim" and value:
+        # the same parts without the claim pass, and the report has no new key
+        doc["guarantee"] = "UPPER_BOUND_ONLY"
+        path.write_text(json.dumps(doc))
+        code, text = run(capsys, "verify", str(path))
+        assert code == 0 and sorted(json.loads(text)) == [
+            "coverage_extra", "coverage_missing", "nonplanar_parts", "optimality",
+            "overlap", "passed",
+        ]
+
+
 # ============================================================
 # bounds
 # ============================================================

@@ -9,14 +9,17 @@ from kronthick.bounds import (
     theta_kn_times_k2,
     theta_knn,
     theta_knnn_times_k2,
+    thickness_lower_bound,
 )
 from kronthick.constructions import (
     _BLOCKS_LAYER1,
     _BLOCKS_LAYER2,
     _UV,
+    _XYZ,
     Decomposition,
     _chen_yin_part_edges,
     _place,
+    _positions,
     _seed_part_pairs,
     chen_yin_k4p4p,
     kn_times_k2_decomposition,
@@ -44,7 +47,7 @@ from kronthick.graphs import (
 )
 from kronthick.products import times_k2
 from kronthick.serialize import load_json, seed_from_document
-from kronthick.verification import OPTIMAL, verify_decomposition
+from kronthick.verification import OPTIMAL, _is_image, verify_decomposition
 
 
 def _nx_graph(g: Graph):
@@ -152,14 +155,75 @@ def test_odd_case_restricts_even_case():
 
 def test_three_block_copies_are_vertex_disjoint():
     pairs = _chen_yin_part_edges(2, 1)
-    one, _ = _place(pairs, _UV)
+    one, _ = _place(make_complete_bipartite(8, 8), _positions((Family.U, Family.V), 8, False),
+                    pairs, _UV)
+    target = times_k2(make_complete_tripartite(8, 8, 8))
     for blocks in (_BLOCKS_LAYER1, _BLOCKS_LAYER2):
-        three, _ = _place(pairs, blocks)
+        three, _ = _place(target, _positions(_XYZ, 8, True), pairs, blocks)
         assert three.num_vertices == 3 * one.num_vertices
         assert three.num_edges == 3 * one.num_edges
         classes = {frozenset(b) for b in blocks}
         for a, b in three.edges:
             assert frozenset({(a.family, a.layer), (b.family, b.layer)}) in classes
+
+
+@pytest.mark.parametrize(
+    "target, at, n",
+    [
+        (times_k2(make_complete(7)), _positions((Family.PLAIN,), 7, True), 7),
+        (make_complete_bipartite(8, 8), _positions((Family.U, Family.V), 8, False), 8),
+        (times_k2(make_complete_tripartite(5, 5, 5)), _positions(_XYZ, 5, True), 5),
+    ],
+    ids=["crown", "kmm", "tripartite"],
+)
+def test_positions_match_the_target_order(target, at, n):
+    placed = {target.vertices[off + step * a]: (f, a, layer)
+              for (f, layer), (off, step) in at.items() for a in range(1, n + 1)}
+    assert len(placed) == target.num_vertices
+    assert all(tuple(v) == want for v, want in placed.items())
+
+
+# Every builder at sizes covering each residue mod 4; the knnn_x_k2 sizes
+# 10 and 11 need a seed for p = 2, which does not ship.
+_PLACED = (
+    [("kn_x_k2", n) for n in range(2, 14)]
+    + [("knn", p) for p in range(1, 5)]
+    + [("knnn_x_k2", n) for n in range(4, 14) if n not in (10, 11)]
+)
+
+
+def _placed_decomposition(family, size):
+    if family == "kn_x_k2":
+        return kn_times_k2_decomposition(size)
+    if family == "knn":
+        return chen_yin_k4p4p(size)
+    return knnn_times_k2_decomposition(size, seed_provider=lambda p: bundled_seed())
+
+
+def test_parts_take_their_vertices_from_the_target():
+    for family, size in _PLACED:
+        d = _placed_decomposition(family, size)
+        at = {v: k for k, v in enumerate(d.target.vertices)}
+        for part in d.parts:
+            ks = [at[v] for v in part.vertices]
+            assert ks == sorted(set(ks)), (family, size)
+            assert all(d.target.vertices[k] is v for k, v in zip(ks, part.vertices))
+
+
+def test_every_recorded_image_map_is_accepted():
+    maps = 0
+    for family, size in _PLACED:
+        d = _placed_decomposition(family, size)
+        for i, image in enumerate(d.images or ()):
+            if image is not None:
+                j, pi = image
+                assert _is_image(d.parts[j], d.parts[i], pi), (family, size, i)
+                maps += 1
+        # as verify PATH checks it: the OPTIMAL claim against the lower bound
+        report = verify_decomposition(d.target, d.parts, lower=thickness_lower_bound(d.target),
+                                      images=d.images, claim=d.guarantee)
+        assert report.passed and report.optimality == OPTIMAL, (family, size)
+    assert maps == 33  # pinned, so a builder that stops recording a map shows here
 
 
 def _seed_with_extra_vertex(extra):

@@ -225,6 +225,12 @@ _json_values = st.recursive(
 
 @given(_json_values)
 @example([{"a": 1}, {"a": True}, {"a": 1.0}, {"a": 0}, {"a": False}, {"a": 0.0}, {"a": -0.0}])
+@example({"o": {"index": 1}, "p": [{"family": "U", "index": 1}, {"family": "U", "index": True},
+                                   {"family": "U", "index": 1.0}, {"family": "U", "index": "1"}],
+          "q": {"index": True}, "r": [{"index": 1.0}, {"index": 1}]})
+# the same names as edge ends at two depths, and as first and as second end
+@example({"e": [["a", "b"], ["b", "a"]], "f": [[["b", "a"], ["a", "\u00e9"]]],
+          "g": {"h": [("a", "b")]}})
 @example({"x": [[], {}, [[{}]], ["p", "q"], ("r", "s"), ["t", 1], "u"], "y": ()})
 def test_to_json_matches_json_dumps(value):
     assert to_json(value) == _dumps(value)
@@ -234,16 +240,28 @@ def _seed(p):
     return load_seed_file(SEED_PATH)
 
 
-# kn_x_k2 odd and even, knn, knnn_x_k2 with the bundled seed, its restrict
-# path (n = 2 mod 4) and n = 41.
+def _product_vertex_decomposition():
+    prod = kronecker_product(make_cycle(3), make_complete(3))
+    return Decomposition(prod, (prod, prod), "", "")
+
+
+# Every builder: kn_x_k2 at each residue mod 4, knn, knnn_x_k2 with the
+# bundled seed, its restrict path (n = 2 mod 4), a fixture, n = 0 and
+# 1 mod 4 and n = 41; and parts on product vertices.
 _FAMILY_DECOMPOSITIONS = {
     "kn_x_k2-9": lambda: kn_times_k2_decomposition(9),
+    "kn_x_k2-10": lambda: kn_times_k2_decomposition(10),
+    "kn_x_k2-11": lambda: kn_times_k2_decomposition(11),
     "kn_x_k2-12": lambda: kn_times_k2_decomposition(12),
     "knn-3": lambda: chen_yin_k4p4p(3),
     "knnn_x_k2-7-seed": lambda: knnn_times_k2_decomposition(7, seed_provider=_seed),
     "knnn_x_k2-6-seed": lambda: knnn_times_k2_decomposition(6, seed_provider=_seed),
     "knnn_x_k2-2": lambda: knnn_times_k2_decomposition(2),
+    "knnn_x_k2-5": lambda: knnn_times_k2_decomposition(5),
+    "knnn_x_k2-8": lambda: knnn_times_k2_decomposition(8),
+    "knnn_x_k2-13": lambda: knnn_times_k2_decomposition(13),
     "knnn_x_k2-41": lambda: knnn_times_k2_decomposition(41),
+    "product-vertices": _product_vertex_decomposition,
 }
 
 

@@ -19,6 +19,8 @@ from kronthick.graphs import (
 from kronthick.verification import (
     NOT_CERTIFIED,
     OPTIMAL,
+    UPPER_BOUND_ONLY,
+    _is_image,
     verify_decomposition,
 )
 
@@ -117,6 +119,20 @@ def test_summary_strings():
     assert verify_decomposition(target, parts).summary().startswith("FAIL")
 
 
+def test_part_vertex_outside_the_target_reported():
+    target, parts = k88_parts()
+    x1, u9 = VertexLabel(Family.X, 1), VertexLabel(Family.U, 9)
+    v1 = VertexLabel(Family.V, 1)
+    parts[0] = Graph(parts[0].vertices + (x1,), parts[0].edges)  # isolated
+    parts[1] = Graph(parts[1].vertices + (u9, x1), parts[1].edges + ((u9, v1),))
+    report = verify_decomposition(target, parts)
+    assert not report.passed
+    assert report.foreign_vertices == (x1, u9)  # sorted: family x before u
+    assert report.coverage_extra == ((u9, v1),)
+    assert "2 vertices outside the target" in report.summary()
+    assert verify_decomposition(*k88_parts()).foreign_vertices == ()
+
+
 # ============================================================
 # Optimality
 # ============================================================
@@ -127,6 +143,23 @@ def test_optimal_requires_matching_lower():
     assert verify_decomposition(target, parts, lower=3).optimality == OPTIMAL
     assert verify_decomposition(target, parts, lower=2).optimality == NOT_CERTIFIED
     assert verify_decomposition(target, parts).optimality == NOT_CERTIFIED
+
+
+def test_uncertified_optimal_claim_fails():
+    target, parts = k88_parts()
+    empty = Graph((), ())
+    claimed = verify_decomposition(target, parts + [empty], lower=3, claim=OPTIMAL)
+    assert not claimed.passed and claimed.optimality == NOT_CERTIFIED
+    assert claimed.uncertified_claim == OPTIMAL
+    assert "claims OPTIMAL, not certified" in claimed.summary()
+    # a certified claim, a weaker claim and no claim all pass
+    for extra, claim in (([], OPTIMAL), ([empty], UPPER_BOUND_ONLY), ([empty], None)):
+        report = verify_decomposition(target, parts + extra, lower=3, claim=claim)
+        assert report.passed and report.uncertified_claim is None
+    # a report that fails anyway does not name the claim
+    parts[0] = Graph(parts[0].vertices, parts[0].edges[1:])
+    failed = verify_decomposition(target, parts + [empty], lower=3, claim=OPTIMAL)
+    assert failed == verify_decomposition(target, parts + [empty], lower=3)
 
 
 # ============================================================
@@ -219,3 +252,25 @@ def test_part_maps_never_change_a_report(data, kind):
         return nx.check_planarity(h)[0]
 
     assert list(report.nonplanar_parts) == [i for i, g in enumerate(parts) if not nx_planar(g)]
+
+
+@pytest.mark.parametrize("kind", ["repeated", "negative", "equal-to-n", "short", "long"])
+def test_is_image_rejects_a_map_that_is_no_bijection(kind):
+    d = chen_yin_k4p4p(2)
+    j, pi = d.images[1]
+    src, dst = d.parts[j], d.parts[1]
+    assert _is_image(src, dst, pi)
+    n = dst.num_vertices
+    bad = list(pi)
+    if kind == "repeated":
+        bad[0] = bad[1]
+    elif kind == "negative":
+        # -1 would index the last vertex if it were not range-checked
+        bad[bad.index(n - 1)] = -1
+    elif kind == "equal-to-n":
+        bad[0] = n
+    elif kind == "short":
+        bad.pop()
+    else:
+        bad.append(bad[0])
+    assert not _is_image(src, dst, bad)
