@@ -5,11 +5,15 @@ Each stage runs in this process, best of --repeat runs, for each size:
 
 - target: ``times_k2(make_complete(n))``;
 - build: ``kn_times_k2_decomposition(n)``, its target included;
-- verify with images: ``verify_decomposition`` given the builder's maps;
-- verify without images, as ``verify PATH`` runs it;
+- orbit maps: ``orbit_images(d)``;
+- verify with maps: ``orbit_images`` then ``verify_decomposition``, as
+  ``decompose`` runs them;
+- verify without maps, which LR-tests every part;
 - LR: ``is_planar`` on the part with the most edges;
 - emit: ``to_json(decomposition_document(d))``;
-- parse: ``json.loads`` and ``decomposition_from_document``.
+- parse: ``json.loads`` and ``decomposition_from_document``;
+- ``verify PATH`` after the file read: parse, ``orbit_images``, then
+  ``verify_decomposition`` with the lower bound and the document's claim.
 
 Run from the repository root:
 
@@ -24,6 +28,7 @@ from kronthick import (
     is_planar,
     kn_times_k2_decomposition,
     make_complete,
+    orbit_images,
     thickness_lower_bound,
     times_k2,
     verify_decomposition,
@@ -47,18 +52,26 @@ def stage_times(n: int, repeat: int) -> tuple[dict, int]:
     largest = max(d.parts, key=lambda g: g.num_edges)
     text = to_json(decomposition_document(d))
     lower = thickness_lower_bound(d.target)
+
+    def verify_path():
+        e = decomposition_from_document(json.loads(text))
+        verify_decomposition(e.target, e.parts, lower=thickness_lower_bound(e.target),
+                             images=orbit_images(e), claim=e.guarantee)
+
     stages = {
         "target `times_k2(make_complete(n))`": lambda: times_k2(make_complete(n)),
         "`kn_times_k2_decomposition(n)`, target included": lambda: kn_times_k2_decomposition(n),
-        "`verify_decomposition` with `d.images`":
-            lambda: verify_decomposition(d.target, d.parts, images=d.images),
-        "`verify_decomposition` without images, as in `verify PATH`":
+        "`orbit_images(d)`": lambda: orbit_images(d),
+        "`verify_decomposition` with `orbit_images(d)`, as in `decompose`":
+            lambda: verify_decomposition(d.target, d.parts, images=orbit_images(d)),
+        "`verify_decomposition` without images (every part LR-tested)":
             lambda: verify_decomposition(d.target, d.parts, lower=lower),
         "LR test of the largest part": lambda: is_planar(largest),
         "emit (`decomposition_document` + `to_json`)":
             lambda: to_json(decomposition_document(d)),
         "parse (`json.loads` + `decomposition_from_document`)":
             lambda: decomposition_from_document(json.loads(text)),
+        "`verify PATH` after the read: parse, `orbit_images`, verify": verify_path,
     }
     return {name: best_ms(fn, repeat) for name, fn in stages.items()}, largest.num_edges
 

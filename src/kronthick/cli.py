@@ -28,6 +28,7 @@ from .constructions import (
     chen_yin_k4p4p,
     kn_times_k2_decomposition,
     knnn_times_k2_decomposition,
+    orbit_images,
 )
 from .errors import (
     DocumentFormatError,
@@ -35,6 +36,7 @@ from .errors import (
     KronthickError,
     PreconditionError,
     SeedInvalidError,
+    SeedMismatchError,
     SeedRequiredError,
 )
 from .graphs import (
@@ -171,7 +173,7 @@ def _decompose(family: str, size: int, seed_path: str | None):
 
 def cmd_decompose(args) -> int:
     d = _decompose(args.family, args.size, args.seed)
-    report = verify_decomposition(d.target, d.parts, images=d.images)
+    report = verify_decomposition(d.target, d.parts, images=orbit_images(d))
     sys.stdout.write(to_json(decomposition_document(d)))
     if not report.passed:
         print(f"verification failed: {report.summary()}", file=sys.stderr)
@@ -182,7 +184,8 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     d = decomposition_from_document(load_json(args.path))
     report = verify_decomposition(
-        d.target, d.parts, lower=thickness_lower_bound(d.target), claim=d.guarantee
+        d.target, d.parts, lower=thickness_lower_bound(d.target), images=orbit_images(d),
+        claim=d.guarantee,
     )
     if args.quiet:
         print("PASS" if report.passed else "FAIL")
@@ -231,7 +234,7 @@ def _table_row(family: str, n: int, seed_path: str | None):
         upper = n + 1
     else:  # knnn_x_k2: _decompose rejects every other family
         lower = upper = theta_knnn_times_k2(n)
-    report = verify_decomposition(d.target, d.parts, lower=lower, images=d.images)
+    report = verify_decomposition(d.target, d.parts, lower=lower, images=orbit_images(d))
     return lower, len(d.parts), upper, "yes" if report.optimality == OPTIMAL else "no"
 
 
@@ -243,7 +246,8 @@ def cmd_table(args) -> int:
         try:
             lower, parts, upper, optimal = _table_row(args.family, n, args.seed)
             rows.append((str(n), str(lower), str(parts), str(upper), optimal))
-        except SeedRequiredError:
+        except (SeedRequiredError, SeedMismatchError):
+            # no seed for this row's p: a --seed file serves only its own
             rows.append((str(n), "-", "-", "-", "UNSUPPORTED"))
     if args.csv:
         print(",".join(header))

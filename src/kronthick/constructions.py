@@ -23,15 +23,16 @@ n+1 that stay on indices <= n.  Only K_{n,n,n} x K_2, n = 2 (mod 4), is
 built larger and induced on the indices <= n.
 
 Most parts are relabelled copies of an earlier part, under an index-block
-swap or shift or a layer flip.  The builders say so in Decomposition.images,
-vertex maps that the same position arithmetic gives; the verifier checks
-each map and then skips that part's planarity test.
+swap or shift or a layer flip.  orbit_images reads which from a
+decomposition's provenance and vertices, as vertex maps the verifier
+checks before it skips a part's planarity test, so a parsed document gets
+the same maps as a fresh build.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import floordiv, mod
 
@@ -49,6 +50,7 @@ from .errors import (
     InvalidSizeError,
     PreconditionError,
     SeedInvalidError,
+    SeedMismatchError,
     SeedRequiredError,
 )
 from .graphs import (
@@ -72,6 +74,7 @@ __all__ = [
     "knnn_times_k2_fixture",
     "lemma46_assemble",
     "knnn_times_k2_decomposition",
+    "orbit_images",
 ]
 
 
@@ -87,10 +90,7 @@ class Decomposition:
     guarantee is OPTIMAL when the part count provably meets the thickness
     of the target, UPPER_BOUND_ONLY otherwise.  provenance names the
     formula/construction tag that produced it; figure optionally cites a
-    drawn source for transcribed fixtures.  images is what a builder knows
-    of isomorphic parts, in the form verify_decomposition takes: per part
-    None or (j, pi), part j's vertex positions mapped onto this part's.  It
-    is neither compared nor serialized.
+    drawn source for transcribed fixtures.
     """
 
     target: Graph
@@ -98,7 +98,6 @@ class Decomposition:
     guarantee: str
     provenance: str
     figure: str | None = None
-    images: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -156,16 +155,14 @@ def _positions(families, n: int, layered: bool) -> dict:
     return {(f, l): (2 * r * n + l - 3, 2) for r, f in enumerate(families) for l in (1, 2)}
 
 
-def _place(target: Graph, at: dict, pairs: list, blocks, adds=None, dels=None
-           ) -> tuple[Graph, dict]:
+def _place(target: Graph, at: dict, pairs: list, blocks, adds=None, dels=None) -> Graph:
     """Build one part of target: the index pairs on every block, edited per block.
 
     adds and dels map a block, one of blocks or any other, to index pairs:
     on that block the pairs dels are removed and then adds are added,
     endpoints included.  at gives each class's target positions, as
     _positions does.  The part's vertices are the target's at the sorted
-    positions its edges touch, so no label is made or compared.  Returns
-    the part and its vertices' places, target position -> part position.
+    positions its edges touch, so no label is made or compared.
     """
     adds, dels = adds or {}, dels or {}
     big = target.num_vertices
@@ -181,66 +178,16 @@ def _place(target: Graph, at: dict, pairs: list, blocks, adds=None, dels=None
     rows, cols = list(map(floordiv, keys, repeat(big))), list(map(mod, keys, repeat(big)))
     ends = sorted(set(rows).union(cols))
     # the part's positions, one int object per vertex shared by its pairs
-    local = dict(zip(ends, range(len(ends))))
+    place = dict(zip(ends, range(len(ends)))).__getitem__
     vs = target.vertices
     if len(ends) < big:
         vs = tuple([vs[k] for k in ends])
-    place = local.__getitem__
-    return Graph._trusted(vs, tuple(zip(map(place, rows), map(place, cols)))), local
-
-
-def _place_all(target: Graph, at: dict, specs, claims: dict) -> tuple[tuple, tuple]:
-    """The parts _place builds from specs, one argument tuple per part, and
-    their Decomposition.images.
-
-    claims maps i to (j, index, flip), j < i: part i is part j with each
-    label (f, a, layer) relabelled (f, index.get(a, a), layer), the layer
-    flipped if flip is set.  at's arithmetic turns that rule into a map of
-    target positions, and the image takes part j's vertices through it to
-    part i's; the verifier checks it.  Every other part gets None.
-    """
-    sources = {j for j, _, _ in claims.values()}
-    kept: dict = {}  # the places of the sources, the only ones needed
-    n = target.num_vertices // len(at)  # every class holds indices 1..n
-    parts, images = [], []
-    for i, spec in enumerate(specs):
-        g, local = _place(target, at, *spec)
-        image = None
-        if i in claims:
-            j, index, flip = claims[i]
-            move = {}  # target position -> its relabelled position, where they differ
-            for (f, layer), (off, step) in at.items():
-                to_off, to_step = at[f, 3 - layer] if flip else (off, step)
-                for a in range(1, n + 1) if flip else index:
-                    move[off + step * a] = to_off + to_step * index.get(a, a)
-            src = kept[j]  # part j's target positions, in its vertex order
-            # move.get(k, k) keeps a position that move does not list, and
-            # an array takes a quarter of a list's memory
-            image = (j, array("i", map(local.__getitem__, map(move.get, src, src))))
-        parts.append(g)
-        images.append(image)
-        if i in sources:
-            kept[i] = local
-    return tuple(parts), tuple(images)
+    return Graph._trusted(vs, tuple(zip(map(place, rows), map(place, cols))))
 
 
 def _block(r: int) -> tuple[int, int, int, int]:
     """The four indices of the Chen-Yin index block r: 4r-3 .. 4r."""
     return (4 * r - 3, 4 * r - 2, 4 * r - 1, 4 * r)
-
-
-def _swap_blocks(r: int) -> dict:
-    """The index map that exchanges index blocks 1 and r.
-
-    Chen-Yin part r is part 1 under it: each part treats all its foreign
-    blocks alike.
-    """
-    return {**dict(zip(_block(1), _block(r))), **dict(zip(_block(r), _block(1)))}
-
-
-def _shift_blocks(p: int, s: int) -> dict:
-    """The index map that moves each index of 1..4p on by s blocks, cyclically."""
-    return {i: (i - 1 + 4 * s) % (4 * p) + 1 for i in range(1, 4 * p + 1)}
 
 
 # ============================================================
@@ -286,15 +233,11 @@ def chen_yin_k4p4p(p: int) -> Decomposition:
     at = _positions((Family.U, Family.V), n, layered=False)
     specs = [(_chen_yin_part_edges(p, r), _UV) for r in range(1, p + 1)]
     specs.append(([(i, i) for i in range(1, n + 1)], _UV))
-    parts, images = _place_all(
-        target, at, specs, {r - 1: (0, _swap_blocks(r), False) for r in range(2, p + 1)}
-    )
     return Decomposition(
         target=target,
-        parts=parts,
+        parts=[_place(target, at, *spec) for spec in specs],
         guarantee=OPTIMAL,
         provenance=LEMMA_3_2,
-        images=images,
     )
 
 
@@ -327,9 +270,7 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
     from the crown graph, so it is dropped), plus one extension part when
     n = 4p+2.  Odd n: the index pairs of n+1, keeping the pairs on indices
     <= n; the part count is unchanged because ceil(n/4) = ceil((n+1)/4)
-    for odd n.  Block part r is block part 1 with index blocks 1 and r
-    swapped, except block part p when n = 3 (mod 4): the dropped index
-    n+1 = 4p is in block p, and the swap would move it.
+    for odd n.
     """
     if n < 2:
         raise InvalidSizeError(f"kn_times_k2_decomposition needs n >= 2, got {n}")
@@ -341,17 +282,11 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
         main.append(_g_prime_edges(p))
     if n % 2:
         main = [[(a, b) for a, b in pairs if a <= n and b <= n] for pairs in main]
-    specs = ((pairs, _CROWN) for pairs in main)
-    swapped = range(2, p + 1 - (n % 4 == 3))
-    parts, images = _place_all(
-        target, at, specs, {r - 1: (0, _swap_blocks(r), False) for r in swapped}
-    )
     return Decomposition(
         target=target,
-        parts=parts,
+        parts=[_place(target, at, pairs, _CROWN) for pairs in main],
         guarantee=OPTIMAL,
         provenance=THM_3_3,
-        images=images,
     )
 
 
@@ -366,9 +301,7 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     Each main bipartite part is copied three times around the family
     cycle, once per layer orientation; the six per-index matchings that
     the copies leave uncovered close up into 4p disjoint 6-cycles, which
-    form the final part.  Layer-1 part r is part 1 with index blocks 1 and
-    r swapped, and each layer-2 part is its layer-1 partner with every
-    layer flipped.
+    form the final part.
     """
     if p < 1:
         raise InvalidSizeError(f"knnn_times_k2_n0mod4 needs p >= 1, got {p}")
@@ -378,15 +311,12 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     specs = [(pairs, _BLOCKS_LAYER1) for pairs in main]
     specs += [(pairs, _BLOCKS_LAYER2) for pairs in main]
     specs.append(([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS))
-    claims = {r - 1: (0, _swap_blocks(r), False) for r in range(2, p + 1)}
-    claims.update({p + k: (k, {}, True) for k in range(p)})
-    parts, images = _place_all(target, _positions(_XYZ, n, layered=True), specs, claims)
+    at = _positions(_XYZ, n, layered=True)
     return Decomposition(
         target=target,
-        parts=parts,
+        parts=[_place(target, at, *spec) for spec in specs],
         guarantee=OPTIMAL,
         provenance=LEMMA_4_2,
-        images=images,
     )
 
 
@@ -449,10 +379,7 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
 
     Starts from the n = 4p layout and threads the six new vertices'
     edges through the existing parts; needs p >= 2 (the n = 1 and n = 5
-    cases ship as drawn fixtures instead).  Layer-1 part r is part 1 with
-    every index block moved r-1 blocks on, cyclically, and the new index n
-    fixed; each layer-2 part is its layer-1 partner with every layer
-    flipped.
+    cases ship as drawn fixtures instead).
     """
     if p < 2:
         raise PreconditionError(
@@ -467,15 +394,12 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
     specs += [(pairs, _BLOCKS_LAYER2, _swapped(adds), _swapped(dels))
               for pairs, adds, dels in main]
     specs.append(([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))))
-    claims = {r - 1: (0, _shift_blocks(p, r - 1), False) for r in range(2, p + 1)}
-    claims.update({p + k: (k, {}, True) for k in range(p)})
-    parts, images = _place_all(target, _positions(_XYZ, n, layered=True), specs, claims)
+    at = _positions(_XYZ, n, layered=True)
     return Decomposition(
         target=target,
-        parts=parts,
+        parts=[_place(target, at, *spec) for spec in specs],
         guarantee=OPTIMAL,
         provenance=LEMMA_4_4,
-        images=images,
     )
 
 
@@ -566,12 +490,11 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     the seed's single edge v_a u_b are not given parts of their own: each
     is re-homed onto a part of the opposite layer group, where its
     endpoints land in two different vertex-disjoint copies, so the
-    receiving part stays planar no matter what the seed looks like.  Each
-    layer-2 part is its layer-1 partner with every layer flipped.
+    receiving part stays planar no matter what the seed looks like.
     """
     seed_p = validate_seed(seed)
     if seed_p != p:
-        raise SeedInvalidError(f"seed is for p = {seed_p}, assembly wants p = {p}")
+        raise SeedMismatchError(f"seed is for p = {seed_p}, assembly wants p = {p}")
     m = 4 * p + 3
     target = times_k2(make_complete_tripartite(m, m, m))
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
@@ -586,8 +509,8 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
         adds = relocated[k] if k < 2 else {}
         h1.append((pairs, _BLOCKS_LAYER1, adds))
         h2.append((pairs, _BLOCKS_LAYER2, _swapped(adds)))
-    claims = {p + 1 + k: (k, {}, True) for k in range(p + 1)}
-    parts, images = _place_all(target, _positions(_XYZ, m, layered=True), h1 + h2, claims)
+    at = _positions(_XYZ, m, layered=True)
+    parts = [_place(target, at, *spec) for spec in h1 + h2]
     # A layer-2 receiving part is planar exactly when its layer-1 partner is.
     for label, g in (("first", parts[0]), ("second", parts[1])):
         if not is_planar(g).planar:
@@ -599,7 +522,6 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
         parts=parts,
         guarantee=OPTIMAL,
         provenance=LEMMA_4_6,
-        images=images,
     )
 
 
@@ -643,3 +565,107 @@ def knnn_times_k2_decomposition(n: int, seed_provider=None) -> Decomposition:
                       for g in (bigger.target, *bigger.parts)]
     return Decomposition(target, parts, OPTIMAL, bigger.provenance)
 
+
+
+# ============================================================
+# Orbits: the parts a construction makes as relabelled copies
+# ============================================================
+
+
+def _swaps(p: int) -> list:
+    """Block part r-1 is block part 0 with index blocks 1 and r exchanged,
+    for r = 2..p.
+
+    Chen-Yin part r is part 1 under that swap: each part treats all its
+    foreign blocks alike.
+    """
+    return [(r - 1, 0, _swap_blocks(r), False) for r in range(2, p + 1)]
+
+
+def _swap_blocks(r: int):
+    """The index map that exchanges index blocks 1 and r."""
+    d = 4 * (r - 1)
+    return lambda a: a + d if a <= 4 else a - d if d < a <= d + 4 else a
+
+
+def _shifts(p: int) -> list:
+    """Part s is part 0 with each index of 1..4p moved s blocks on,
+    cyclically, for s = 1..p-1; the index 4p+1 stays."""
+    return [(s, 0, _shift_blocks(4 * p, 4 * s), False) for s in range(1, p)]
+
+
+def _shift_blocks(m: int, d: int):
+    """The index map that moves each index of 1..m on by d, cyclically."""
+    return lambda a: (a - 1 + d) % m + 1 if a <= m else a
+
+
+def _flips(first: int, count: int) -> list:
+    """Part first+k is part k with every layer flipped, for k < count."""
+    return [(first + k, k, _same_index, True) for k in range(count)]
+
+
+def _same_index(a: int) -> int:
+    return a
+
+
+# The relabellings each construction makes, keyed by provenance.  An entry
+# (families, layered, residue, least, claims) fits a target on those
+# families' classes, indices 1..n, with n = 4p + residue (any residue if
+# None) and p >= least.  claims(p) lists (i, j, index, flip), j < i: part i
+# is part j with each label (f, a, l) relabelled (f, index(a), l), the
+# layer flipped if flip is set.
+# - THM_3_3, K_n x K_2: block swaps.  Block part p-1 holds the index n+1
+#   that odd n drops when n = 3 (mod 4), and p = n // 4 stops short of it.
+# - LEMMA_3_2, K_{4p,4p}: block swaps.
+# - LEMMA_4_2, n = 4p: block swaps among the layer-1 parts 0..p-1, and
+#   layer-2 part p+k is layer-1 part k with every layer flipped.
+# - LEMMA_4_4, n = 4p+1: cyclic block shifts of part 0 that keep the index
+#   n, and layer flips as in LEMMA_4_2.
+# - LEMMA_4_6, n = 4p+3: layer flips only, part p+1+k from part k; they
+#   need no seed.
+_ORBITS = {
+    THM_3_3: ((Family.PLAIN,), True, None, 0, _swaps),
+    LEMMA_3_2: ((Family.U, Family.V), False, 0, 1, _swaps),
+    LEMMA_4_2: (_XYZ, True, 0, 1, lambda p: _swaps(p) + _flips(p, p)),
+    LEMMA_4_4: (_XYZ, True, 1, 2, lambda p: _shifts(p) + _flips(p, p)),
+    LEMMA_4_6: (_XYZ, True, 3, 1, lambda p: _flips(p + 1, p + 1)),
+}
+
+
+def orbit_images(d: Decomposition) -> list:
+    """Per part of d, None or (j, pi), as verify_decomposition takes them:
+    pi maps part j's vertex positions onto this part's by the relabelling
+    that d.provenance's construction makes this part with.
+
+    Only the provenance, the target's vertices and the parts' vertices are
+    read, so nothing is built and a map costs the two parts' sizes.  No
+    part gets a map when the target's vertices are not the construction's;
+    a part gets none when it or its source has a vertex outside the
+    target, or when its vertices are not the relabelled source's; too few
+    parts only drop the claims past the last one.  The verifier checks
+    every map.
+    """
+    parts = d.parts
+    images = [None] * len(parts)
+    if d.provenance not in _ORBITS:
+        return images
+    families, layered, residue, least, claims = _ORBITS[d.provenance]
+    classes = _positions(families, 1, layered).keys()  # (family, layer) pairs
+    n, spare = divmod(d.target.num_vertices, len(classes))
+    p, rem = divmod(n, 4)
+    if spare or p < least or residue not in (None, rem):
+        return images
+    labels = {(f, a, layer) for f, layer in classes for a in range(1, n + 1)}
+    if labels != set(d.target.vertices):
+        return images
+    inside = [labels.issuperset(g.vertices) for g in parts]
+    for i, j, index, flip in claims(p):
+        if i >= len(parts) or not (inside[i] and inside[j]):
+            continue
+        src, dst = parts[j].vertices, parts[i].vertices
+        at = dict(zip(dst, range(len(dst))))
+        moved = [(f, index(a), 3 - layer if flip else layer) for f, a, layer in src]
+        pi = array("i", map(at.get, moved, repeat(-1)))
+        if len(src) == len(dst) and -1 not in pi:
+            images[i] = (j, pi)
+    return images

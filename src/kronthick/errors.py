@@ -27,6 +27,10 @@ class SeedInvalidError(KronthickError):
     """A supplied seed decomposition failed validation."""
 
 
+class SeedMismatchError(SeedInvalidError):
+    """A valid seed decomposition is for another p than the one asked for."""
+
+
 class ConstructionConflictError(KronthickError):
     """A construction produced a part that fails its own planarity obligation."""
 

@@ -6,9 +6,12 @@ and every part is planar.  Vertex coverage is deliberately not required:
 parts may omit vertices they do not touch.  A decomposition that claims to
 be OPTIMAL must also be certified so, or it is not valid either.
 
-A builder that knows part i to be a relabelled copy of an earlier part j
+A caller that knows part i to be a relabelled copy of an earlier part j
 may say so with a vertex map, and part i then takes part j's planarity
-verdict without its own planarity test.  The map is checked, not trusted:
+verdict without its own planarity test.  constructions.orbit_images is
+where the maps come from: it derives them from a decomposition's
+provenance, so a parsed document gets them as a fresh build does.  The map
+is checked, not trusted:
 it must be a bijection from part j's vertex positions onto part i's, and
 it must carry part j's edge pairs onto exactly part i's.  Such a map is a
 graph isomorphism, and isomorphic graphs are both planar or both not, so

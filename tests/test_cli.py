@@ -298,11 +298,15 @@ def test_decompose_builds_no_label_edges(monkeypatch, capsys, argv):
         ("table kn_x_k2 2..12", 17),
     ],
 )
-def test_lr_runs_only_on_parts_without_an_image(monkeypatch, capsys, command, lr_calls):
+def test_lr_runs_only_on_parts_without_an_image(monkeypatch, capsys, tmp_path, command,
+                                                lr_calls):
     # Every part a construction maps from an earlier one must take that
     # part's verdict: the LR test sees exactly the parts whose image is
     # None, over every verification the command makes (a seed's included).
+    # verify PATH on a decompose document tests the same parts as the
+    # decompose's own verification did.
     tested, unmapped = [], []
+    calls = []  # per verification, the indices of the parts it LR-tested
     planar = verification.is_planar
     verify = verification.verify_decomposition
 
@@ -310,19 +314,33 @@ def test_lr_runs_only_on_parts_without_an_image(monkeypatch, capsys, command, lr
         tested.append(g)
         return planar(g)
 
-    def recording_verify(target, parts, lower=None, images=None):
+    def recording_verify(target, parts, lower=None, images=None, claim=None):
         parts = list(parts)
         unmapped.extend(g for g, image in zip(parts, images or [None] * len(parts))
                         if image is None)
-        return verify(target, parts, lower, images)
+        before = len(tested)
+        report = verify(target, parts, lower, images, claim)
+        ids = [id(g) for g in parts]
+        calls.append([ids.index(id(g)) for g in tested[before:]])
+        return report
 
     monkeypatch.setattr(verification, "is_planar", counting_planar)
     for mod in (cli, constructions):
         monkeypatch.setattr(mod, "verify_decomposition", recording_verify)
     argv = command.replace("--seed", f"--seed {SEED_PATH}").split()
-    assert run(capsys, *argv)[0] == 0
+    code, out = run(capsys, *argv)
+    assert code == 0
     assert [id(g) for g in tested] == [id(g) for g in unmapped]
     assert len(tested) == lr_calls
+    if argv[0] == "decompose":
+        path = tmp_path / "d.json"
+        path.write_text(out)
+        decomposed = calls[-1]
+        for log in (tested, unmapped, calls):
+            log.clear()
+        assert run(capsys, "verify", str(path), "--quiet")[0] == 0
+        assert calls == [decomposed]
+        assert [id(g) for g in tested] == [id(g) for g in unmapped]
 
 
 def test_decompose_usage_errors(capsys):
@@ -620,6 +638,23 @@ def test_table_with_seed_covers_all_rows(capsys):
     assert [r["optimal"] for r in rows] == ["yes", "yes", "yes"]
 
 
+def test_table_seed_for_another_p_marks_its_rows_unsupported(capsys):
+    code, out = run(capsys, "table", "knnn_x_k2", "9..12", "--seed", SEED_PATH, "--csv")
+    assert code == 0
+    assert [r["optimal"] for r in parse_csv(out)] == ["yes", "UNSUPPORTED", "UNSUPPORTED", "yes"]
+
+
+@pytest.mark.parametrize("seed", ["k33", "part0-edge-dropped", "part0-vertex-x1"])
+def test_table_with_an_invalid_seed_file_exits_3(capsys, tmp_path, seed):
+    path = tmp_path / "seed.json"
+    path.write_text(to_json(_BAD_SEED_DOCUMENTS[seed]()))
+    code = main(["table", "knnn_x_k2", "1..13", "--seed", str(path), "--csv"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_table_csv_byte_stable(capsys):
     a = run(capsys, "table", "kn_x_k2", "2..10", "--csv")[1]
     b = run(capsys, "table", "kn_x_k2", "2..10", "--csv")[1]
@@ -628,13 +663,13 @@ def test_table_csv_byte_stable(capsys):
 
 # (exit code, sha256 of stdout) of table --csv, recorded with the code that
 # ran the planarity test on every part.  The p = 1 seed cannot serve the
-# p = 2 rows n = 10, 11, so the seeded 1..13 sweep exits 3 with no output.
+# p = 2 rows n = 10, 11, so the seeded 1..13 sweep marks them UNSUPPORTED.
 _TABLE_SHA256 = {
     "kn_x_k2 2..64": (0, "2d911566e7129e883a25e79c9a5783ed771a022916e30c248ad12248b7b13c99"),
     "knn 1..8": (0, "6d657ba17317be95fcc0b885c4b965beeb3f0376d6d1d4c524d87e28ebb79849"),
     "knnn_x_k2 1..13": (0, "4749e849e38ea8528c65fc90d3280154a1b3fc92be13523301bfad96baca3dbc"),
     "knnn_x_k2 1..9 --seed": (0, "3e724a76cc134ee2feeae06fb05035b0fc427a0b624bd1d92ed18eeb464fb6d6"),
-    "knnn_x_k2 1..13 --seed": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "knnn_x_k2 1..13 --seed": (0, "5f6e640f6b638fd95ccde48d0bc1f224841ced3f428e1ab6a53f411b3eb37d8b"),
 }
 
 

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
+import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kronthick.bounds import (
+    LEMMA_3_2,
+    LEMMA_4_2,
+    LEMMA_4_4,
+    LEMMA_4_6,
+    THM_3_3,
     theta_kn_times_k2,
     theta_knn,
     theta_knnn_times_k2,
@@ -28,6 +37,7 @@ from kronthick.constructions import (
     knnn_times_k2_n0mod4,
     knnn_times_k2_n1mod4,
     lemma46_assemble,
+    orbit_images,
     validate_seed,
 )
 from kronthick.errors import (
@@ -39,6 +49,7 @@ from kronthick.errors import (
 from kronthick.graphs import (
     Family,
     Graph,
+    ProductVertex,
     VertexLabel,
     induced_subgraph,
     make_complete,
@@ -46,7 +57,12 @@ from kronthick.graphs import (
     make_complete_tripartite,
 )
 from kronthick.products import times_k2
-from kronthick.serialize import load_json, seed_from_document
+from kronthick.serialize import (
+    decomposition_document,
+    decomposition_from_document,
+    load_json,
+    seed_from_document,
+)
 from kronthick.verification import OPTIMAL, _is_image, verify_decomposition
 
 
@@ -155,11 +171,11 @@ def test_odd_case_restricts_even_case():
 
 def test_three_block_copies_are_vertex_disjoint():
     pairs = _chen_yin_part_edges(2, 1)
-    one, _ = _place(make_complete_bipartite(8, 8), _positions((Family.U, Family.V), 8, False),
-                    pairs, _UV)
+    one = _place(make_complete_bipartite(8, 8), _positions((Family.U, Family.V), 8, False),
+                 pairs, _UV)
     target = times_k2(make_complete_tripartite(8, 8, 8))
     for blocks in (_BLOCKS_LAYER1, _BLOCKS_LAYER2):
-        three, _ = _place(target, _positions(_XYZ, 8, True), pairs, blocks)
+        three = _place(target, _positions(_XYZ, 8, True), pairs, blocks)
         assert three.num_vertices == 3 * one.num_vertices
         assert three.num_edges == 3 * one.num_edges
         classes = {frozenset(b) for b in blocks}
@@ -214,16 +230,116 @@ def test_every_recorded_image_map_is_accepted():
     maps = 0
     for family, size in _PLACED:
         d = _placed_decomposition(family, size)
-        for i, image in enumerate(d.images or ()):
+        images = orbit_images(d)
+        for i, image in enumerate(images):
             if image is not None:
                 j, pi = image
                 assert _is_image(d.parts[j], d.parts[i], pi), (family, size, i)
                 maps += 1
         # as verify PATH checks it: the OPTIMAL claim against the lower bound
         report = verify_decomposition(d.target, d.parts, lower=thickness_lower_bound(d.target),
-                                      images=d.images, claim=d.guarantee)
+                                      images=images, claim=d.guarantee)
         assert report.passed and report.optimality == OPTIMAL, (family, size)
-    assert maps == 33  # pinned, so a builder that stops recording a map shows here
+    assert maps == 33  # pinned, so a claim that stops yielding a map shows here
+
+
+# sha256 over every image map of these builds, one line "family size i j pi"
+# per map, recorded from the maps the builders stored on the decomposition
+# before orbit_images derived them: 810 maps over 104 decompositions.
+_ORBIT_CASES = (
+    [("kn_x_k2", n) for n in range(2, 70)]
+    + [("knn", p) for p in range(1, 12)]
+    + [("knnn_x_k2", n) for n in range(1, 46) if n % 4 in (0, 1)]
+    + [("knnn_x_k2", 6), ("knnn_x_k2", 7)]
+)
+_ORBIT_SHA256 = "51729ad55007dcd787243e9dcbad708b221f0aaadb921c81bc985e2f56e60910"
+
+
+def test_orbit_images_reproduce_the_builders_maps():
+    digest, maps = hashlib.sha256(), 0
+    for family, size in _ORBIT_CASES:
+        for i, image in enumerate(orbit_images(_placed_decomposition(family, size))):
+            if image is not None:
+                j, pi = image
+                digest.update(f"{family} {size} {i} {j} {' '.join(map(str, pi))}\n".encode())
+                maps += 1
+    assert (len(_ORBIT_CASES), maps) == (104, 810)
+    assert digest.hexdigest() == _ORBIT_SHA256
+
+
+def test_orbit_images_cost_follows_the_parts_not_n():
+    # LEMMA_4_4 at n = 20001 (p = 5000) claims 4999 block shifts of part 0
+    # and 5000 layer flips; with 5000 one-edge parts the flips have no part
+    # to land on, and each shift costs two vertices, not n.
+    n = 20001
+    vs = tuple(VertexLabel(f, a, layer) for f in _XYZ for a in range(1, n + 1) for layer in (1, 2))
+    parts = [Graph._trusted((VertexLabel(Family.X, a, 1), VertexLabel(Family.Y, a, 2)), ((0, 1),))
+             for a in range(1, 20000, 4)]
+    d = Decomposition(Graph._trusted(vs, ()), parts, OPTIMAL, LEMMA_4_4)
+    start = time.perf_counter()
+    images = orbit_images(d)
+    assert time.perf_counter() - start < 1
+    assert images[0] is None
+    assert all(j == 0 and _is_image(parts[0], parts[i], pi)
+               for i, (j, pi) in enumerate(images[1:], 1))
+
+
+_PROVENANCES = (THM_3_3, LEMMA_3_2, LEMMA_4_2, LEMMA_4_4, LEMMA_4_6)
+_MUTATED = (
+    [("kn_x_k2", n) for n in (5, 8, 11, 12)]
+    + [("knn", 2), ("knn", 3)]
+    + [("knnn_x_k2", n) for n in (4, 7, 9)]
+)
+_MUTATIONS = ("move", "drop", "add", "swap", "provenance", "foreign")
+
+
+def _mutated(d, kind, data):
+    parts = list(d.parts)
+    a, b = data.draw(st.permutations(range(len(parts))), label="parts")[:2]
+    if kind == "swap":
+        parts[a], parts[b] = parts[b], parts[a]
+    elif kind == "provenance":
+        return replace(d, provenance=data.draw(st.sampled_from(
+            [tag for tag in _PROVENANCES if tag != d.provenance]), label="provenance"))
+    elif kind == "foreign":
+        # Index n+1 on the classes of a part's first family, on that part
+        # or on every part, where each relabelling carries them onto each
+        # other; or a pair vertex, whose index is a label.
+        f, _, layer = parts[a].vertices[0]
+        n = max(v.index for v in d.target.vertices)
+        extra = {VertexLabel(f, n + 1, layer and l or None) for l in (1, 2)}
+        form = data.draw(st.sampled_from(["one", "every", "pair"]), label="form")
+        if form == "pair":
+            extra = {ProductVertex(*d.target.vertices[:2])}
+        for k in range(len(parts)) if form == "every" else [a]:
+            parts[k] = Graph(parts[k].vertices + tuple(extra), parts[k].edges)
+    else:
+        source = parts[a] if kind != "add" else d.target
+        e = data.draw(st.sampled_from(source.edges), label="edge")
+        if kind != "add":
+            parts[a] = Graph(parts[a].vertices, [x for x in parts[a].edges if x != e])
+        if kind != "drop":
+            parts[b] = Graph(parts[b].vertices + e, parts[b].edges + (e,))
+    return replace(d, parts=parts)
+
+
+@given(st.sampled_from(_MUTATED), st.sampled_from(_MUTATIONS), st.data())
+def test_orbit_images_never_change_a_report(case, kind, data):
+    d = _mutated(_placed_decomposition(*case), kind, data)
+    d = decomposition_from_document(decomposition_document(d))
+    lower = thickness_lower_bound(d.target)
+    images = orbit_images(d)
+    report = verify_decomposition(d.target, d.parts, lower=lower, images=images,
+                                  claim=d.guarantee)
+    assert report == verify_decomposition(d.target, d.parts, lower=lower, claim=d.guarantee)
+    nx = pytest.importorskip("networkx")
+    assert list(report.nonplanar_parts) == [
+        i for i, g in enumerate(d.parts) if not nx.check_planarity(_nx_graph(g)[1])[0]]
+    targets = set(d.target.vertices)
+    for i, image in enumerate(images):
+        if image is not None:
+            assert targets.issuperset(d.parts[i].vertices)
+            assert targets.issuperset(d.parts[image[0]].vertices)
 
 
 def _seed_with_extra_vertex(extra):
@@ -524,9 +640,3 @@ def test_decomposition_record_shape():
     assert isinstance(d, Decomposition)
     assert isinstance(d.parts, tuple)
     assert d.provenance
-
-
-def test_decomposition_images_are_not_compared():
-    d = chen_yin_k4p4p(3)
-    assert [image and image[0] for image in d.images] == [None, 0, 0, None]
-    assert replace(d, images=None) == d

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kronthick import verification
-from kronthick.constructions import chen_yin_k4p4p
+from kronthick.constructions import chen_yin_k4p4p, orbit_images
 from kronthick.graphs import (
     Family,
     Graph,
@@ -257,7 +257,7 @@ def test_part_maps_never_change_a_report(data, kind):
 @pytest.mark.parametrize("kind", ["repeated", "negative", "equal-to-n", "short", "long"])
 def test_is_image_rejects_a_map_that_is_no_bijection(kind):
     d = chen_yin_k4p4p(2)
-    j, pi = d.images[1]
+    j, pi = orbit_images(d)[1]
     src, dst = d.parts[j], d.parts[1]
     assert _is_image(src, dst, pi)
     n = dst.num_vertices
