@@ -5,10 +5,9 @@ Each stage runs in this process, best of --repeat runs, for each size:
 
 - target: ``times_k2(make_complete(n))``;
 - build: ``kn_times_k2_decomposition(n)``, its target included;
-- orbit maps: ``orbit_images(d)``;
-- verify with maps: ``orbit_images`` then ``verify_decomposition``, as
+- verify with moves: ``orbit_images`` then ``verify_decomposition``, as
   ``decompose`` runs them;
-- verify without maps, which LR-tests every part;
+- verify without moves, which LR-tests every part;
 - LR: ``is_planar`` on the part with the most edges;
 - emit: ``to_json(decomposition_document(d))``;
 - parse: ``json.loads`` and ``decomposition_from_document``;
@@ -61,7 +60,6 @@ def stage_times(n: int, repeat: int) -> tuple[dict, int]:
     stages = {
         "target `times_k2(make_complete(n))`": lambda: times_k2(make_complete(n)),
         "`kn_times_k2_decomposition(n)`, target included": lambda: kn_times_k2_decomposition(n),
-        "`orbit_images(d)`": lambda: orbit_images(d),
         "`verify_decomposition` with `orbit_images(d)`, as in `decompose`":
             lambda: verify_decomposition(d.target, d.parts, images=orbit_images(d)),
         "`verify_decomposition` without images (every part LR-tested)":

@@ -8,6 +8,7 @@ verification FAIL, 2 usage error, 3 I/O or parse error, 4 seed required.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -116,23 +117,23 @@ def parse_size_list(text: str, what: str) -> list[int]:
 
 
 def _seed_provider(seed_path: str | None):
-    """Seed lookup: explicit --seed wins, else $THICKNESS_SEED_DIR/seed_k{m}_{m}.json."""
-    if seed_path is not None:
-        def from_file(p: int):
-            return load_seed_file(seed_path)
-        return from_file
+    """Seed lookup: explicit --seed wins, else $THICKNESS_SEED_DIR/seed_k{m}_{m}.json;
+    one provider reads each file at most once."""
     seed_dir = os.environ.get(SEED_DIR_ENV)
-    if seed_dir:
-        def from_dir(p: int):
-            m = 4 * p + 3
-            path = os.path.join(seed_dir, f"seed_k{m}_{m}.json")
-            if not os.path.exists(path):
-                raise SeedRequiredError(
-                    f"no seed file {path} (set by {SEED_DIR_ENV})"
-                )
-            return load_seed_file(path)
-        return from_dir
-    return None
+    if seed_path is None and not seed_dir:
+        return None
+    load = functools.cache(load_seed_file)
+
+    def provide(p: int):
+        if seed_path is not None:
+            return load(seed_path)
+        m = 4 * p + 3
+        path = os.path.join(seed_dir, f"seed_k{m}_{m}.json")
+        if not os.path.exists(path):
+            raise SeedRequiredError(f"no seed file {path} (set by {SEED_DIR_ENV})")
+        return load(path)
+
+    return provide
 
 
 # ============================================================
@@ -159,20 +160,20 @@ def cmd_product(args) -> int:
     return EXIT_PASS
 
 
-def _decompose(family: str, size: int, seed_path: str | None):
+def _decompose(family: str, size: int, seed_provider):
     if family == "kn_x_k2":
         return kn_times_k2_decomposition(size)
     if family == "knn":
         return chen_yin_k4p4p(size)
     if family == "knnn_x_k2":
-        return knnn_times_k2_decomposition(size, seed_provider=_seed_provider(seed_path))
+        return knnn_times_k2_decomposition(size, seed_provider=seed_provider)
     raise PreconditionError(
         f"unknown family {family!r}; expected kn_x_k2, knn or knnn_x_k2"
     )
 
 
 def cmd_decompose(args) -> int:
-    d = _decompose(args.family, args.size, args.seed)
+    d = _decompose(args.family, args.size, _seed_provider(args.seed))
     report = verify_decomposition(d.target, d.parts, images=orbit_images(d))
     sys.stdout.write(to_json(decomposition_document(d)))
     if not report.passed:
@@ -223,9 +224,9 @@ def cmd_bounds(args) -> int:
     return EXIT_PASS
 
 
-def _table_row(family: str, n: int, seed_path: str | None):
+def _table_row(family: str, n: int, seed_provider):
     """(lower, parts, upper, optimal) for one table row; raises on unsupported."""
-    d = _decompose(family, n, seed_path)
+    d = _decompose(family, n, seed_provider)
     if family == "kn_x_k2":
         lower = product_lower_bound(make_complete(n), make_complete(2))
         upper = theta_kn_times_k2(n)
@@ -241,10 +242,11 @@ def _table_row(family: str, n: int, seed_path: str | None):
 def cmd_table(args) -> int:
     sizes = parse_size_list(args.range, "table")
     header = ("n", "lower", "parts", "upper", "optimal")
+    seeds = _seed_provider(args.seed)
     rows = []
     for n in sizes:
         try:
-            lower, parts, upper, optimal = _table_row(args.family, n, args.seed)
+            lower, parts, upper, optimal = _table_row(args.family, n, seeds)
             rows.append((str(n), str(lower), str(parts), str(upper), optimal))
         except (SeedRequiredError, SeedMismatchError):
             # no seed for this row's p: a --seed file serves only its own

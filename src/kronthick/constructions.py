@@ -24,15 +24,15 @@ built larger and induced on the indices <= n.
 
 Most parts are relabelled copies of an earlier part, under an index-block
 swap or shift or a layer flip.  orbit_images reads which from a
-decomposition's provenance and vertices, as vertex maps the verifier
-checks before it skips a part's planarity test, so a parsed document gets
-the same maps as a fresh build.
+decomposition's provenance and sizes, as moves of target vertex ids that
+the verifier checks before it skips a part's planarity test, so a parsed
+document gets the same moves as a fresh build.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, repeat
 from operator import floordiv, mod
 
@@ -609,63 +609,57 @@ def _same_index(a: int) -> int:
 
 
 # The relabellings each construction makes, keyed by provenance.  An entry
-# (families, layered, residue, least, claims) fits a target on those
-# families' classes, indices 1..n, with n = 4p + residue (any residue if
-# None) and p >= least.  claims(p) lists (i, j, index, flip), j < i: part i
-# is part j with each label (f, a, l) relabelled (f, index(a), l), the
-# layer flipped if flip is set.
-# - THM_3_3, K_n x K_2: block swaps.  Block part p-1 holds the index n+1
-#   that odd n drops when n = 3 (mod 4), and p = n // 4 stops short of it.
+# (families, step, residues, least, claims) fits a target of that many
+# families with indices 1..n on step layers, n = 4p + r for r in residues
+# and p >= least.  claims(p) lists (i, j, index, flip), j < i: part i is
+# part j with each label (f, a, l) relabelled (f, index(a), l), the layer
+# flipped if flip is set.
+# - THM_3_3, K_n x K_2, any n: block swaps.  Block part p-1 holds the index
+#   n+1 that odd n drops when n = 3 (mod 4), and p = n // 4 stops short of it.
 # - LEMMA_3_2, K_{4p,4p}: block swaps.
 # - LEMMA_4_2, n = 4p: block swaps among the layer-1 parts 0..p-1, and
 #   layer-2 part p+k is layer-1 part k with every layer flipped.
 # - LEMMA_4_4, n = 4p+1: cyclic block shifts of part 0 that keep the index
 #   n, and layer flips as in LEMMA_4_2.
-# - LEMMA_4_6, n = 4p+3: layer flips only, part p+1+k from part k; they
-#   need no seed.
+# - LEMMA_4_6, n = 4p+3, and n = 4p+2 induced from it: layer flips only,
+#   part p+1+k from part k, which commute with dropping the index n+1.
 _ORBITS = {
-    THM_3_3: ((Family.PLAIN,), True, None, 0, _swaps),
-    LEMMA_3_2: ((Family.U, Family.V), False, 0, 1, _swaps),
-    LEMMA_4_2: (_XYZ, True, 0, 1, lambda p: _swaps(p) + _flips(p, p)),
-    LEMMA_4_4: (_XYZ, True, 1, 2, lambda p: _shifts(p) + _flips(p, p)),
-    LEMMA_4_6: (_XYZ, True, 3, 1, lambda p: _flips(p + 1, p + 1)),
+    THM_3_3: (1, 2, (0, 1, 2, 3), 0, _swaps),
+    LEMMA_3_2: (2, 1, (0,), 1, _swaps),
+    LEMMA_4_2: (3, 2, (0,), 1, lambda p: _swaps(p) + _flips(p, p)),
+    LEMMA_4_4: (3, 2, (1,), 2, lambda p: _shifts(p) + _flips(p, p)),
+    LEMMA_4_6: (3, 2, (2, 3), 1, lambda p: _flips(p + 1, p + 1)),
 }
 
 
-def orbit_images(d: Decomposition) -> list:
-    """Per part of d, None or (j, pi), as verify_decomposition takes them:
-    pi maps part j's vertex positions onto this part's by the relabelling
-    that d.provenance's construction makes this part with.
+def _move(ids: list, size: int, step: int, index, flip: bool) -> list:
+    """ids with each (f, a, l) moved to (f, index(a), l), l flipped if flip.
 
-    Only the provenance, the target's vertices and the parts' vertices are
-    read, so nothing is built and a map costs the two parts' sizes.  No
-    part gets a map when the target's vertices are not the construction's;
-    a part gets none when it or its source has a vertex outside the
-    target, or when its vertices are not the relabelled source's; too few
-    parts only drop the claims past the last one.  The verifier checks
-    every map.
+    By _positions, (f, a, l) has id size*r + step*(a-1) + (l-1) for the
+    rank r of f, size = step*n and l-1 = 0 if layerless, so a flip is id ^ 1.
     """
-    parts = d.parts
-    images = [None] * len(parts)
+    return [(x + step * (index(a := x % size // step + 1) - a)) ^ flip for x in ids]
+
+
+def orbit_images(d: Decomposition) -> list:
+    """Per part of d, None or (j, move), as verify_decomposition takes them:
+    move carries a list of target vertex ids by the relabelling that
+    d.provenance's construction makes this part from part j with.
+
+    Only the provenance, the target's vertex count and the number of parts
+    are read, so the moves cost the number of claims.  A target of another
+    size gets no moves, and too few parts drop the claims past the last
+    one.  The verifier checks every move on the parts' own ids.
+    """
+    images = [None] * len(d.parts)
     if d.provenance not in _ORBITS:
         return images
-    families, layered, residue, least, claims = _ORBITS[d.provenance]
-    classes = _positions(families, 1, layered).keys()  # (family, layer) pairs
-    n, spare = divmod(d.target.num_vertices, len(classes))
+    families, step, residues, least, claims = _ORBITS[d.provenance]
+    n, spare = divmod(d.target.num_vertices, families * step)
     p, rem = divmod(n, 4)
-    if spare or p < least or residue not in (None, rem):
+    if spare or p < least or rem not in residues:
         return images
-    labels = {(f, a, layer) for f, layer in classes for a in range(1, n + 1)}
-    if labels != set(d.target.vertices):
-        return images
-    inside = [labels.issuperset(g.vertices) for g in parts]
     for i, j, index, flip in claims(p):
-        if i >= len(parts) or not (inside[i] and inside[j]):
-            continue
-        src, dst = parts[j].vertices, parts[i].vertices
-        at = dict(zip(dst, range(len(dst))))
-        moved = [(f, index(a), 3 - layer if flip else layer) for f, a, layer in src]
-        pi = array("i", map(at.get, moved, repeat(-1)))
-        if len(src) == len(dst) and -1 not in pi:
-            images[i] = (j, pi)
+        if i < len(images):
+            images[i] = (j, partial(_move, size=step * n, step=step, index=index, flip=flip))
     return images

@@ -412,9 +412,9 @@ def load_json(path):
             raise DocumentFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
+def graph_to_dot(g: Graph) -> str:
     names = [v.name for v in g.vertices]
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     lines += [f'  "{v}";' for v in names]
     lines += [f'  "{names[i]}" -- "{names[j]}";' for i, j in g.pairs]
     lines.append("}")

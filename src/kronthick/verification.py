@@ -7,16 +7,19 @@ parts may omit vertices they do not touch.  A decomposition that claims to
 be OPTIMAL must also be certified so, or it is not valid either.
 
 A caller that knows part i to be a relabelled copy of an earlier part j
-may say so with a vertex map, and part i then takes part j's planarity
-verdict without its own planarity test.  constructions.orbit_images is
-where the maps come from: it derives them from a decomposition's
-provenance, so a parsed document gets them as a fresh build does.  The map
-is checked, not trusted:
-it must be a bijection from part j's vertex positions onto part i's, and
-it must carry part j's edge pairs onto exactly part i's.  Such a map is a
-graph isomorphism, and isomorphic graphs are both planar or both not, so
-an accepted map cannot change a verdict; a map that fails the check only
-sends part i through the planarity test like any part without one.
+may say so with a move, and part i then takes part j's verdict without its
+own planarity test.  constructions.orbit_images derives the moves from a
+decomposition's provenance and sizes, so a parsed document gets them as a
+fresh build does.  A move maps a list of target vertex ids, and it is
+checked, not trusted, on the ids the coverage check gives the parts: part
+j's moved ids must be one to one and inside [0, n), n the key base, and
+must carry part j's pairs onto exactly part i's coverage keys.  Such a move
+is an isomorphism between the two edge sets, so the parts are both planar
+or both not.  Key orientation does not weaken this: a builder part's ids
+are in label order, and an id outside the target can only make a true edge
+miss, never match a wrong one, because x*n + y with x < y cannot equal
+p*n + q with p > q.  A move that fails the check, or means nothing for a
+foreign document, only sends part i through the planarity test.
 """
 
 from __future__ import annotations
@@ -63,23 +66,15 @@ class VerificationReport:
         return "FAIL: " + ", ".join(bits)
 
 
-def _is_image(src: Graph, dst: Graph, pi) -> bool:
-    """pi, src position -> dst position, is a bijection carrying src's
-    pairs onto exactly dst's."""
-    n = dst.num_vertices
-    if len(pi) != src.num_vertices or len(pi) != n:
+def _is_image(ids: list, pairs, move, n: int, keys: list) -> bool:
+    """move carries ids, part j's vertex ids, one to one into [0, n), and
+    part j's pairs onto exactly keys, part i's coverage keys in order."""
+    m = move(ids)
+    if len(m) != len(ids) or len(set(m)) != len(m) or (m and not 0 <= min(m) <= max(m) < n):
         return False
-    seen = [False] * n
-    for x in pi:
-        # a range check first: a negative x would index seen from the end
-        if not 0 <= x < n or seen[x]:
-            return False
-        seen[x] = True
-    p = list(pi)  # list items are ints already; an array makes one per read
-    # Pairs (x, y), x < y, as keys x*n + y: sorting the keys sorts the pairs.
-    keys = [x * n + y if (x := p[a]) < (y := p[b]) else y * n + x for a, b in src.pairs]
-    keys.sort()
-    return keys == [x * n + y for x, y in dst.pairs]
+    # keyed x < y and sorted, as a builder part's keys are
+    moved = sorted([x * n + y if (x := m[a]) < (y := m[b]) else y * n + x for a, b in pairs])
+    return moved == keys
 
 
 def verify_decomposition(
@@ -92,10 +87,10 @@ def verify_decomposition(
     guarantee the decomposition states: a claim of OPTIMAL that the report
     does not certify fails it, and is reported only when nothing else does.
     Defect lists are sorted, so reports are deterministic.  images, if
-    given, holds per part None or (j, pi) with j < i, pi mapping part j's
-    vertex positions to part i's; a map that passes the check in the module
-    docstring hands part i part j's planarity verdict, and any other part is
-    tested.
+    given, holds per part None or (j, move) with j < i, move mapping a
+    list of part j's target vertex ids to part i's; a move that passes the
+    check in the module docstring hands part i part j's planarity verdict,
+    and any other part is tested.
     """
     parts = list(parts)
     # Integer vertex ids: the target's indices, then each vertex that only
@@ -105,7 +100,7 @@ def verify_decomposition(
     labels = list(target.vertices)
     ids = {v: i for i, v in enumerate(labels)}
     n = len(labels) + sum(part.num_vertices for part in parts)
-    keys = []
+    pids, keys = [], []
     for part in parts:
         pid = list(map(ids.get, part.vertices))
         if None in pid:
@@ -113,6 +108,7 @@ def verify_decomposition(
                 if pid[k] is None:
                     pid[k] = ids[v] = len(labels)
                     labels.append(v)
+        pids.append(pid)
         keys.append([pid[a] * n + pid[b] for a, b in part.pairs])
     target_keys = {a * n + b for a, b in target.pairs}
     covered = set().union(*keys)
@@ -135,8 +131,8 @@ def verify_decomposition(
     images += [None] * (len(parts) - len(images))
     planar: list[bool] = []
     for i, (part, image) in enumerate(zip(parts, images)):
-        j, pi = image or (i, ())
-        if 0 <= j < i and _is_image(parts[j], part, pi):
+        j, move = image or (i, None)
+        if 0 <= j < i and _is_image(pids[j], parts[j].pairs, move, n, keys[i]):
             planar.append(planar[j])
         else:
             planar.append(is_planar(part).planar)

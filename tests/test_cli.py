@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import shutil
 
 import pytest
 
@@ -146,8 +147,6 @@ def test_decompose_with_seed_file(capsys):
 
 
 def test_decompose_seed_dir_discovery(capsys, tmp_path, monkeypatch):
-    import shutil
-
     shutil.copy(SEED_PATH, tmp_path / "seed_k7_7.json")
     monkeypatch.setenv("THICKNESS_SEED_DIR", str(tmp_path))
     code, out = run(capsys, "decompose", "knnn_x_k2", "6")
@@ -294,6 +293,7 @@ def test_decompose_builds_no_label_edges(monkeypatch, capsys, argv):
         ("decompose knnn_x_k2 8", 2),
         ("decompose knnn_x_k2 9", 2),
         ("decompose knnn_x_k2 13", 2),
+        ("decompose knnn_x_k2 6 --seed", 3 + 2),
         ("decompose knnn_x_k2 7 --seed", 3 + 2),
         ("table kn_x_k2 2..12", 17),
     ],
@@ -642,6 +642,25 @@ def test_table_seed_for_another_p_marks_its_rows_unsupported(capsys):
     code, out = run(capsys, "table", "knnn_x_k2", "9..12", "--seed", SEED_PATH, "--csv")
     assert code == 0
     assert [r["optimal"] for r in parse_csv(out)] == ["yes", "UNSUPPORTED", "UNSUPPORTED", "yes"]
+
+
+@pytest.mark.parametrize("source", ["--seed", "THICKNESS_SEED_DIR"])
+def test_table_reads_a_seed_file_once(capsys, tmp_path, monkeypatch, source):
+    # rows 6 and 7 take the p = 1 seed; rows 10 and 11 want p = 2, which
+    # the --seed file does not serve and the directory does not hold
+    loads = []
+    load = cli.load_seed_file
+    monkeypatch.setattr(cli, "load_seed_file", lambda path: loads.append(path) or load(path))
+    argv = ["table", "knnn_x_k2", "6..11", "--csv"]
+    if source == "--seed":
+        argv += ["--seed", SEED_PATH]
+    else:
+        shutil.copy(SEED_PATH, tmp_path / "seed_k7_7.json")
+        monkeypatch.setenv("THICKNESS_SEED_DIR", str(tmp_path))
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(loads) == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "1f6a15f582ac6bea20107f1016a847953acdc72046dc517af9edff46d47421e6")
 
 
 @pytest.mark.parametrize("seed", ["k33", "part0-edge-dropped", "part0-vertex-x1"])

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kronthick import verification
-from kronthick.constructions import chen_yin_k4p4p, orbit_images
+from kronthick.constructions import chen_yin_k4p4p
 from kronthick.graphs import (
     Family,
     Graph,
@@ -196,81 +196,114 @@ def _double_fan(n: int) -> list[tuple[int, int]]:
 
 _K5 = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
 _VALID = ["valid", "valid-nonplanar"]
-_BOGUS = ["non-bijection", "short", "long", "out-of-range", "j-is-i", "j-past-i",
-          "j-negative", "missing-edge", "nonplanar-target", "nonplanar-source"]
+_BOGUS = ["non-injective", "short", "long", "negative", "past-n", "j-is-i", "j-past-i",
+          "j-negative", "missing-edge", "nonplanar-target", "nonplanar-source", "foreign"]
 
 
-@given(st.data(), st.sampled_from(_VALID + ["none"] + _BOGUS))
-def test_part_maps_never_change_a_report(data, kind):
-    # Part 1 is a relabelled copy of part 0, and part 1's image is a valid
-    # map from part 0, no map, or a bogus one.  A valid map saves part 1's
-    # LR run; anything else costs it, and no report changes.
+@given(st.data())
+def test_part_maps_never_change_a_report(data):
+    # Part 1 is a relabelled copy of part 0, and part 1's image is, in
+    # turn, a valid move from part 0, no move, and each bogus one.  A valid
+    # move saves part 1's LR run; anything else costs it, and no report
+    # changes.
     nx = pytest.importorskip("networkx")
     n = data.draw(st.integers(min_value=5, max_value=8), label="n")
     fan = _double_fan(n)
-    base = data.draw(st.lists(st.sampled_from(fan), min_size=1, unique=True), label="edges")
-    if kind == "valid-nonplanar":
-        base = sorted(set(base) | set(_K5))
+    drawn = data.draw(st.lists(st.sampled_from(fan), min_size=1, unique=True), label="edges")
     sigma = dict(zip(range(1, n + 1), data.draw(st.permutations(range(1, n + 1)), label="sigma")))
 
     def part(edges, layer, relabel=lambda i: i):
         vs = [VertexLabel(Family.PLAIN, relabel(i), layer) for i in range(1, n + 1)]
         return Graph(vs, [(vs[a - 1], vs[b - 1]) for a, b in edges])
 
-    src, dst = part(base, 1), part(base, 2, sigma.get)
-    target = Graph(src.vertices + dst.vertices, src.edges + dst.edges)
-    at = {v: k for k, v in enumerate(dst.vertices)}
-    pi = [at[VertexLabel(Family.PLAIN, sigma[v.index], 2)] for v in src.vertices]
-    j = {"j-is-i": 1, "j-past-i": 2, "j-negative": -1}.get(kind, 0)
-    if kind == "non-bijection":
-        pi[0] = pi[1]
-    elif kind in ("short", "long"):
-        pi = pi[:-1] if kind == "short" else pi + [pi[0]]
-    elif kind == "out-of-range":
-        pi[data.draw(st.integers(0, n - 1), label="k")] = data.draw(st.sampled_from([n, -1]))
-    elif kind == "missing-edge":
-        gone = data.draw(st.sampled_from(base), label="gone")
-        dst = part([e for e in base if e != gone], 2, sigma.get)
-    elif kind == "nonplanar-target":
-        dst = part(set(base) | set(_K5), 2, sigma.get)
-    elif kind == "nonplanar-source":
-        src = part(set(base) | set(_K5), 1)
-    parts = [src, dst]
-    images = [None, None if kind == "none" else (j, pi)]
-
-    tested = []
-    planar = verification.is_planar
-    with mock.patch.object(verification, "is_planar",
-                           lambda g: tested.append(g) or planar(g)):
-        report = verify_decomposition(target, parts, images=images)
-    assert len(tested) == (1 if kind in _VALID else 2)
-    assert report == verify_decomposition(target, parts)
-
     def nx_planar(g):
         h = nx.Graph(g.edges)
         h.add_nodes_from(g.vertices)
         return nx.check_planarity(h)[0]
 
-    assert list(report.nonplanar_parts) == [i for i, g in enumerate(parts) if not nx_planar(g)]
+    for kind in _VALID + ["none"] + _BOGUS:
+        base = drawn
+        if kind == "valid-nonplanar":
+            base = sorted(set(base) | set(_K5))
+        elif kind in ("non-injective", "negative", "past-n"):
+            # p1_n has no edge, so moving it wrongly keeps every key: only
+            # the id check can reject the move
+            base = [e for e in base if n not in e] or [(1, 2)]
+        src, dst = part(base, 1), part(base, 2, sigma.get)
+        target = Graph(src.vertices + dst.vertices, src.edges + dst.edges)
+        if kind == "foreign":
+            # x_1, outside the target, sorts before every p label: dst's
+            # pairs with it key its id first, so the true copy below misses
+            a = base[0][0]
+            src = Graph(src.vertices + (VertexLabel(Family.X, 1, 1),),
+                        src.edges + ((VertexLabel(Family.X, 1, 1), src.vertices[a - 1]),))
+            dst = Graph(dst.vertices + (VertexLabel(Family.X, 1, 2),),
+                        dst.edges + ((VertexLabel(Family.X, 1, 2),
+                                      VertexLabel(Family.PLAIN, sigma[a], 2)),))
+        elif kind == "missing-edge":
+            gone = data.draw(st.sampled_from(base), label="gone")
+            dst = part([e for e in base if e != gone], 2, sigma.get)
+        elif kind == "nonplanar-target":
+            dst = part(set(base) | set(_K5), 2, sigma.get)
+        elif kind == "nonplanar-source":
+            src = part(set(base) | set(_K5), 1)
+        parts = [src, dst]
+        # The verifier's ids: p{l}_a of the target is 2a + l - 3, the
+        # vertices outside it follow in order of first appearance, and
+        # every id is below the key base.
+        base_n = target.num_vertices + sum(g.num_vertices for g in parts)
+
+        def move(ids, kind=kind, base_n=base_n):
+            if kind in ("j-is-i", "j-negative"):
+                return ids  # part 1 onto itself: only the range of j rejects it
+            moved = [2 * sigma.get(x // 2 + 1, x // 2 + 1) - 1 for x in ids]
+            if kind == "non-injective":
+                moved[n - 1] = moved[0]
+            elif kind in ("short", "long"):
+                moved = moved[:-1] if kind == "short" else moved + [moved[0]]
+            elif kind in ("negative", "past-n"):
+                moved[n - 1] = -1 if kind == "negative" else base_n
+            return moved
+
+        j = {"j-is-i": 1, "j-past-i": 2, "j-negative": -1}.get(kind, 0)
+        images = [None, None if kind == "none" else (j, move)]
+        tested = []
+        planar = verification.is_planar
+        with mock.patch.object(verification, "is_planar",
+                               lambda g: tested.append(g) or planar(g)):
+            report = verify_decomposition(target, parts, images=images)
+        assert len(tested) == (1 if kind in _VALID else 2), kind
+        assert report == verify_decomposition(target, parts), kind
+        assert list(report.nonplanar_parts) == [
+            i for i, g in enumerate(parts) if not nx_planar(g)], kind
 
 
 @pytest.mark.parametrize("kind", ["repeated", "negative", "equal-to-n", "short", "long"])
 def test_is_image_rejects_a_map_that_is_no_bijection(kind):
-    d = chen_yin_k4p4p(2)
-    j, pi = orbit_images(d)[1]
-    src, dst = d.parts[j], d.parts[1]
-    assert _is_image(src, dst, pi)
-    n = dst.num_vertices
-    bad = list(pi)
-    if kind == "repeated":
-        bad[0] = bad[1]
-    elif kind == "negative":
-        # -1 would index the last vertex if it were not range-checked
-        bad[bad.index(n - 1)] = -1
-    elif kind == "equal-to-n":
-        bad[0] = n
-    elif kind == "short":
-        bad.pop()
-    else:
-        bad.append(bad[0])
-    assert not _is_image(src, dst, bad)
+    # Part j is the path on ids 0-1-2 plus the isolated id 3, part i the
+    # same path on 4-5-6, key base 8.  Each bad move touches only id 3's
+    # image or the list's length, so the keys still match and only the id
+    # check can reject it.
+    ids, pairs, n = [0, 1, 2, 3], [(0, 1), (1, 2)], 8
+    keys = [4 * n + 5, 5 * n + 6]
+
+    def move(ids):
+        return [x + 4 for x in ids]
+
+    assert _is_image(ids, pairs, move, n, keys)
+
+    def bad(ids):
+        m = move(ids)
+        if kind == "repeated":
+            m[3] = m[0]
+        elif kind == "negative":
+            m[3] = -1
+        elif kind == "equal-to-n":
+            m[3] = n
+        elif kind == "short":
+            m.pop()
+        else:
+            m.append(3)
+        return m
+
+    assert not _is_image(ids, pairs, bad, n, keys)
