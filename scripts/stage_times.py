@@ -12,7 +12,10 @@ Each stage runs in this process, best of --repeat runs, for each size:
 - emit: ``to_json(decomposition_document(d))``;
 - parse: ``json.loads`` and ``decomposition_from_document``;
 - ``verify PATH`` after the file read: parse, ``orbit_images``, then
-  ``verify_decomposition`` with the lower bound and the document's claim.
+  ``verify_decomposition`` with the lower bound and the document's claim;
+- ``kronthick verify PATH``: ``cli.main(["verify", path])`` on the
+  document written to a temporary file, stdout captured, so the file
+  read and the command's collector pause count too.
 
 Run from the repository root:
 
@@ -20,7 +23,11 @@ Run from the repository root:
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
 from kronthick import (
@@ -32,6 +39,7 @@ from kronthick import (
     times_k2,
     verify_decomposition,
 )
+from kronthick.cli import main as cli_main
 from kronthick.serialize import decomposition_document, decomposition_from_document, to_json
 
 
@@ -45,7 +53,7 @@ def best_ms(fn, repeat: int) -> float:
     return best * 1e3
 
 
-def stage_times(n: int, repeat: int) -> tuple[dict, int]:
+def stage_times(n: int, repeat: int, workdir: str) -> tuple[dict, int]:
     """Stage name -> best time in ms for K_n x K_2, and the largest part's edge count."""
     d = kn_times_k2_decomposition(n)
     largest = max(d.parts, key=lambda g: g.num_edges)
@@ -56,6 +64,15 @@ def stage_times(n: int, repeat: int) -> tuple[dict, int]:
         e = decomposition_from_document(json.loads(text))
         verify_decomposition(e.target, e.parts, lower=thickness_lower_bound(e.target),
                              images=orbit_images(e), claim=e.guarantee)
+
+    path = os.path.join(workdir, f"kn_x_k2_{n}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+    def verify_command():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main(["verify", path]) != 0:
+                raise SystemExit(f"verify {path} did not pass")
 
     stages = {
         "target `times_k2(make_complete(n))`": lambda: times_k2(make_complete(n)),
@@ -70,6 +87,7 @@ def stage_times(n: int, repeat: int) -> tuple[dict, int]:
         "parse (`json.loads` + `decomposition_from_document`)":
             lambda: decomposition_from_document(json.loads(text)),
         "`verify PATH` after the read: parse, `orbit_images`, verify": verify_path,
+        "`kronthick verify PATH` (`cli.main`, file read included)": verify_command,
     }
     return {name: best_ms(fn, repeat) for name, fn in stages.items()}, largest.num_edges
 
@@ -80,7 +98,8 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=3, help="runs per stage; the best counts")
     args = ap.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",")]
-    columns, largest = zip(*(stage_times(n, args.repeat) for n in sizes))
+    with tempfile.TemporaryDirectory() as workdir:
+        columns, largest = zip(*(stage_times(n, args.repeat, workdir) for n in sizes))
     print("| stage | " + " | ".join(f"n = {n}" for n in sizes) + " |")
     print("|---" * (len(sizes) + 1) + "|")
     for name in columns[0]:

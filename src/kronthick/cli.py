@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -174,7 +175,10 @@ def _decompose(family: str, size: int, seed_provider):
 
 def cmd_decompose(args) -> int:
     d = _decompose(args.family, args.size, _seed_provider(args.seed))
-    report = verify_decomposition(d.target, d.parts, images=orbit_images(d))
+    report = verify_decomposition(
+        d.target, d.parts, lower=thickness_lower_bound(d.target), images=orbit_images(d),
+        claim=d.guarantee,
+    )
     sys.stdout.write(to_json(decomposition_document(d)))
     if not report.passed:
         print(f"verification failed: {report.summary()}", file=sys.stderr)
@@ -312,6 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # The commands build JSON trees, graphs of int tuples and reports, none
+    # of which hold a cycle, so a collector pass would only rescan the live
+    # heap; reference counting still frees everything they drop.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except SeedRequiredError as exc:
@@ -329,6 +338,9 @@ def main(argv=None) -> int:
     except KronthickError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

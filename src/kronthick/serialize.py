@@ -130,7 +130,7 @@ def _vertex_reader():
 
     def read(obj) -> tuple:
         try:
-            key = (tuple(obj.items()), tuple(map(type, obj.values())))
+            key = (*obj.items(), *map(type, obj.values()))
             hit = memo.get(key)
         except (AttributeError, TypeError):
             v = vertex_from_object(obj)
@@ -157,24 +157,34 @@ def _graph_from_object(obj, read) -> Graph:
         seen.add(name)
     named.sort(key=itemgetter(0))
     by_name = {name: i for i, (_, name) in enumerate(named)}
+    get = by_name.get
     pairs = []
     for entry in obj["edges"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentFormatError(f"edge entry must be a [ref, ref] pair: {entry!r}")
         ra, rb = entry
-        if not (isinstance(ra, str) and isinstance(rb, str)):
-            raise DocumentFormatError(f"edge references must be vertex names: {entry!r}")
-        if ra not in by_name or rb not in by_name:
-            raise DocumentFormatError(f"edge references unknown vertex: {entry!r}")
-        i, j = by_name[ra], by_name[rb]
-        if i == j:
-            raise DocumentFormatError(f"bad edge: self-loop at {named[i][0]!r}")
+        try:
+            i, j = get(ra), get(rb)
+        except TypeError:  # an unhashable reference
+            i = j = None
+        if i is None or j is None or i == j:
+            _reject_edge(entry, by_name, named)
         pairs.append((i, j) if i < j else (j, i))
     # a document lists its edges sorted, which sort() checks in one pass
     pairs.sort()
     if any(map(eq, pairs, islice(pairs, 1, None))):
         raise DocumentFormatError("an edge is listed twice")
     return Graph._trusted(tuple([v for v, _ in named]), tuple(pairs))
+
+
+def _reject_edge(entry: list, by_name: dict, named: list) -> None:
+    """Raise the format error of an edge pair that one lookup per end rejected."""
+    ra, rb = entry
+    if not (isinstance(ra, str) and isinstance(rb, str)):
+        raise DocumentFormatError(f"edge references must be vertex names: {entry!r}")
+    if ra not in by_name or rb not in by_name:
+        raise DocumentFormatError(f"edge references unknown vertex: {entry!r}")
+    raise DocumentFormatError(f"bad edge: self-loop at {named[by_name[ra]][0]!r}")
 
 
 def graph_from_document(doc) -> Graph:
@@ -404,11 +414,12 @@ def _float_text(f: float) -> str:
 
 
 def load_json(path):
-    """Parse a JSON file; undecodable bytes and runaway nesting are format errors."""
+    """Parse a JSON file; undecodable bytes, runaway nesting and integers past
+    Python's digit limit are format errors."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise DocumentFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

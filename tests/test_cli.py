@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import hashlib
 import importlib.resources
 import json
@@ -157,6 +159,26 @@ def test_decompose_seed_dir_discovery(capsys, tmp_path, monkeypatch):
 def test_decompose_seed_dir_without_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("THICKNESS_SEED_DIR", str(tmp_path))
     assert run(capsys, "decompose", "knnn_x_k2", "11")[0] == 4
+
+
+def test_decompose_fails_an_optimal_claim_it_cannot_certify(capsys, monkeypatch):
+    # a builder that splits its last part in two but still claims OPTIMAL
+    build = cli.kn_times_k2_decomposition
+
+    def split_last_part(n):
+        d = build(n)
+        *kept, last = d.parts
+        half = len(last.pairs) // 2
+        halves = (Graph._trusted(last.vertices, last.pairs[:half]),
+                  Graph._trusted(last.vertices, last.pairs[half:]))
+        return dataclasses.replace(d, parts=(*kept, *halves))
+
+    monkeypatch.setattr(cli, "kn_times_k2_decomposition", split_last_part)
+    code = main(["decompose", "kn_x_k2", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["guarantee"] == "OPTIMAL"
+    assert "not certified" in captured.err
 
 
 def _k33_seed_document():
@@ -399,6 +421,7 @@ def test_verify_parse_failures(capsys, tmp_path):
 _UNREADABLE_FILES = {
     "non-utf8": b"\xff\xfe\x00garbage",
     "deep-nesting": b"[" * 100_000,
+    "huge-int": b"[" + b"1" * 5000 + b"]",  # past Python's int digit limit
 }
 
 _FILE_READING_COMMANDS = {
@@ -499,6 +522,41 @@ def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# The stderr of verify for one bad entry appended to part 0's edges, as
+# recorded when each edge end was checked by type and membership first.
+_BAD_EDGE_ERRORS = {
+    "entry-int": (5, "edge entry must be a [ref, ref] pair: 5"),
+    "entry-object": ({"a": "u_1"}, "edge entry must be a [ref, ref] pair: {'a': 'u_1'}"),
+    "length-1": (["u_1"], "edge entry must be a [ref, ref] pair: ['u_1']"),
+    "length-3": (["u_1", "v_2", "v_2"],
+                 "edge entry must be a [ref, ref] pair: ['u_1', 'v_2', 'v_2']"),
+    "ref-int": ([1, "v_2"], "edge references must be vertex names: [1, 'v_2']"),
+    "ref-null": ([None, "v_2"], "edge references must be vertex names: [None, 'v_2']"),
+    "ref-list": ([["u_1"], "v_2"], "edge references must be vertex names: [['u_1'], 'v_2']"),
+    "ref-object": (["u_1", {"name": "v_2"}],
+                   "edge references must be vertex names: ['u_1', {'name': 'v_2'}]"),
+    "unknown-then-list": (["zz_9", ["v_2"]],
+                          "edge references must be vertex names: ['zz_9', ['v_2']]"),
+    "ref-unknown": (["u_1", "zz_9"], "edge references unknown vertex: ['u_1', 'zz_9']"),
+    "self-loop": (["u_1", "u_1"], "bad edge: self-loop at V(u_1)"),
+    "edge-twice": (["u_1", "v_2"], "an edge is listed twice"),
+    "edge-reversed": (["v_2", "u_1"], "an edge is listed twice"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_EDGE_ERRORS)
+def test_verify_bad_edge_entry_error_is_pinned(capsys, tmp_path, case):
+    entry, message = _BAD_EDGE_ERRORS[case]
+    doc = json.loads(run(capsys, "decompose", "knn", "1")[1])
+    assert ["u_1", "v_2"] in doc["parts"][0]["edges"]
+    doc["parts"][0]["edges"].append(entry)
+    path = tmp_path / "bad-edge.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 
 
 def _append_empty_part(doc):
@@ -722,3 +780,67 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["nosuchcommand"])
     assert info.value.code == 2
+
+
+# ============================================================
+# cyclic garbage collector
+# ============================================================
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test sets it."""
+    before = gc.isenabled()
+    yield
+    (gc.enable if before else gc.disable)()
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("boom")
+
+
+def _verify_an_uncertified_claim(tmp_path):
+    d = chen_yin_k4p4p(1)
+    path = tmp_path / "claim.json"
+    path.write_text(to_json(decomposition_document(
+        dataclasses.replace(d, parts=(*d.parts, Graph(())))
+    )))
+    return ["verify", str(path), "--quiet"]
+
+
+# argv per exit code, given a scratch directory
+_EXITS = {
+    0: lambda tmp_path: ["bounds", "kn_x_k2", "5"],
+    1: _verify_an_uncertified_claim,
+    2: lambda tmp_path: ["bounds", "mystery", "3"],
+    3: lambda tmp_path: ["verify", str(tmp_path / "missing.json")],
+    4: lambda tmp_path: ["decompose", "knnn_x_k2", "7"],
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("code", _EXITS)
+def test_main_restores_the_collector_state(capsys, tmp_path, monkeypatch, collector,
+                                           enabled, code):
+    monkeypatch.delenv("THICKNESS_SEED_DIR", raising=False)
+    (gc.enable if enabled else gc.disable)()
+    assert main(_EXITS[code](tmp_path)) == code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector_state_on_an_uncaught_error(monkeypatch, collector,
+                                                                enabled):
+    monkeypatch.setattr(cli, "cmd_bounds", _raise_runtime_error)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["bounds", "kn_x_k2", "5"])
+    assert gc.isenabled() is enabled
+
+
+def test_commands_run_with_the_collector_paused(monkeypatch, collector):
+    states = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: states.append(gc.isenabled()) or 0)
+    gc.enable()
+    assert main(["bounds", "kn_x_k2", "5"]) == 0
+    assert states == [False] and gc.isenabled()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,18 @@ def test_decomposition_roundtrip_byte_stable():
     once = to_json(decomposition_document(d))
     again = to_json(decomposition_document(decomposition_from_document(json.loads(once))))
     assert once == again
+
+
+def test_shuffled_edge_lists_parse_to_the_same_graphs():
+    doc = decomposition_document(kn_times_k2_decomposition(9))
+    d = decomposition_from_document(doc)
+    rng = random.Random(9)
+    for g in (doc["target"], *doc["parts"]):
+        rng.shuffle(g["edges"])
+        g["edges"] = [e[::-1] if rng.random() < 0.5 else e for e in g["edges"]]
+    shuffled = decomposition_from_document(doc)
+    assert shuffled.target == d.target
+    assert shuffled.parts == d.parts
 
 
 # ============================================================
