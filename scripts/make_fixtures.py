@@ -20,7 +20,6 @@ from kronthick import (
     Family,
     Graph,
     VertexLabel,
-    edge,
     make_complete_tripartite,
     theta_knnn_times_k2,
     times_k2,
@@ -47,7 +46,7 @@ def _graph(edge_text: str) -> Graph:
             continue
         for pair in line.split(","):
             a, b = pair.split()
-            es.append(edge(_vertex(a), _vertex(b)))
+            es.append((_vertex(a), _vertex(b)))
     vs = {v for e in es for v in e}
     return Graph(vs, es)
 

@@ -15,7 +15,11 @@ Each stage runs in this process, best of --repeat runs, for each size:
   ``verify_decomposition`` with the lower bound and the document's claim;
 - ``kronthick verify PATH``: ``cli.main(["verify", path])`` on the
   document written to a temporary file, stdout captured, so the file
-  read and the command's collector pause count too.
+  read counts too.
+
+Every stage runs with the cyclic garbage collector paused, as each
+``kronthick`` command runs, so the in-process rows add up to the
+whole-command row; the collector's state is restored at the end.
 
 Run from the repository root:
 
@@ -24,6 +28,7 @@ Run from the repository root:
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -98,8 +103,14 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=3, help="runs per stage; the best counts")
     args = ap.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",")]
-    with tempfile.TemporaryDirectory() as workdir:
-        columns, largest = zip(*(stage_times(n, args.repeat, workdir) for n in sizes))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            columns, largest = zip(*(stage_times(n, args.repeat, workdir) for n in sizes))
+    finally:
+        if collecting:
+            gc.enable()
     print("| stage | " + " | ".join(f"n = {n}" for n in sizes) + " |")
     print("|---" * (len(sizes) + 1) + "|")
     for name in columns[0]:

@@ -173,12 +173,17 @@ def _decompose(family: str, size: int, seed_provider):
     )
 
 
-def cmd_decompose(args) -> int:
-    d = _decompose(args.family, args.size, _seed_provider(args.seed))
-    report = verify_decomposition(
+def _certify(d):
+    """d checked against its target's lower bound, its orbit maps and its own claim."""
+    return verify_decomposition(
         d.target, d.parts, lower=thickness_lower_bound(d.target), images=orbit_images(d),
         claim=d.guarantee,
     )
+
+
+def cmd_decompose(args) -> int:
+    d = _decompose(args.family, args.size, _seed_provider(args.seed))
+    report = _certify(d)
     sys.stdout.write(to_json(decomposition_document(d)))
     if not report.passed:
         print(f"verification failed: {report.summary()}", file=sys.stderr)
@@ -188,10 +193,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     d = decomposition_from_document(load_json(args.path))
-    report = verify_decomposition(
-        d.target, d.parts, lower=thickness_lower_bound(d.target), images=orbit_images(d),
-        claim=d.guarantee,
-    )
+    report = _certify(d)
     if args.quiet:
         print("PASS" if report.passed else "FAIL")
     else:

@@ -107,18 +107,6 @@ class ProductVertex(_PairFields):
         return f"PV({self.name})"
 
 
-# Any vertex value usable in a Graph.
-Vertex = VertexLabel | ProductVertex
-Edge = tuple  # canonical unordered pair, endpoints in vertex order
-
-
-def edge(a: Vertex, b: Vertex) -> Edge:
-    """Canonical unordered edge: endpoints sorted, self-loops rejected."""
-    if a == b:
-        raise PreconditionError(f"self-loop at {a!r}")
-    return (a, b) if a < b else (b, a)
-
-
 class Graph:
     """Immutable simple graph on symbolic vertex labels.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .bounds import ORACLE, thickness_lower_bound
 from .constructions import Decomposition
 from .errors import PreconditionError, StructuralViolationError
-from .graphs import Graph, edge, is_triangle_free
+from .graphs import Graph, is_triangle_free
 from .planarity import euler_max_edges, is_planar, is_planar_edge_list
 from .verification import OPTIMAL, UPPER_BOUND_ONLY, verify_decomposition
 
@@ -178,53 +178,32 @@ def _search_partition(n, int_edges, k, triangle_free, deadline, node_limit):
 
 
 def find_planar_partition(
-    g: Graph,
-    k: int,
-    budget: SearchBudget | None = None,
-    force_single_edge=None,
+    g: Graph, k: int, budget: SearchBudget | None = None
 ) -> PartitionSearchResult:
     """Search for a partition of E(g) into k planar parts.
 
-    force_single_edge pins one part to be exactly that edge (the remaining
-    k-1 parts cover everything else).  Found witnesses are re-verified before
-    being returned.
+    Found witnesses are re-verified before being returned.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.wall_limit
 
-    verts = g.vertices
-    forced = None
-    search_pairs = g.pairs
-    inner_k = k
-    if force_single_edge is not None:
-        a, b = force_single_edge
-        forced = edge(a, b)
-        forced_pair = tuple([verts.index(v) for v in forced if v in verts])
-        if forced_pair not in g.pairs:
-            raise PreconditionError("forced edge is not an edge of the target")
-        search_pairs = [e for e in search_pairs if e != forced_pair]
-        inner_k = k - 1
-        if inner_k < 1 and search_pairs:
-            return PartitionSearchResult(found=None, exhausted=True, nodes=0)
-
     # pairs are (i, j) with i < j: edges in order of their later end
-    int_edges = sorted(search_pairs, key=lambda e: (e[1], e[0]))
+    int_edges = sorted(g.pairs, key=lambda e: (e[1], e[0]))
     parts, exhausted, nodes = _search_partition(
-        g.num_vertices, int_edges, inner_k, is_triangle_free(g), deadline, budget.max_nodes
+        g.num_vertices, int_edges, k, is_triangle_free(g), deadline, budget.max_nodes
     )
     if parts is None:
         return PartitionSearchResult(found=None, exhausted=exhausted, nodes=nodes)
 
+    verts = g.vertices
     part_graphs = []
     for pe in parts:
         ends = sorted({i for ab in pe for i in ab})
         new = {i: k for k, i in enumerate(ends)}  # keeps every pair (i, j), i < j
         pairs = sorted([(new[a], new[b]) for a, b in pe])
         part_graphs.append(Graph._trusted(tuple([verts[i] for i in ends]), tuple(pairs)))
-    if forced is not None:
-        part_graphs.append(Graph._trusted(forced, ((0, 1),)))
     d = Decomposition(
         target=g,
         parts=tuple(part_graphs),
@@ -264,8 +243,7 @@ def exact_thickness(g: Graph, budget: SearchBudget | None = None) -> OracleResul
         remaining_nodes = budget.max_nodes - nodes_used
         remaining_time = deadline - time.monotonic()
         if remaining_nodes <= 0 or remaining_time <= 0:
-            status = BOUNDS_ONLY if k > lb else TIMEOUT
-            return OracleResult(status, value=None, lower=k, upper=None, witness=None)
+            break
         res = find_planar_partition(
             g, k, SearchBudget(remaining_nodes, max(remaining_time, 1e-3))
         )
@@ -273,8 +251,8 @@ def exact_thickness(g: Graph, budget: SearchBudget | None = None) -> OracleResul
         if res.found is not None:
             witness = replace(res.found, guarantee=OPTIMAL)
             return OracleResult(EXACT, value=k, lower=k, upper=k, witness=witness)
-        if res.exhausted:
-            k += 1
-            continue
-        status = BOUNDS_ONLY if k > lb else TIMEOUT
-        return OracleResult(status, value=None, lower=k, upper=None, witness=None)
+        if not res.exhausted:
+            break
+        k += 1
+    status = BOUNDS_ONLY if k > lb else TIMEOUT
+    return OracleResult(status, value=None, lower=k, upper=None, witness=None)

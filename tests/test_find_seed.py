@@ -1,4 +1,4 @@
-"""The write path of scripts/find_seed.py, checked without running a search."""
+"""scripts/find_seed.py: its write path, and its oracle fallback, run without main()."""
 
 from __future__ import annotations
 
@@ -6,7 +6,11 @@ import importlib.resources
 import importlib.util
 from pathlib import Path
 
+from kronthick.bounds import ORACLE
+from kronthick.constructions import Decomposition, validate_seed
+from kronthick.graphs import make_complete_bipartite
 from kronthick.serialize import load_seed_file
+from kronthick.verification import UPPER_BOUND_ONLY
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "find_seed.py"
 SEED_PATH = importlib.resources.files("kronthick").joinpath("data").joinpath("seed_k7_7.json")
@@ -23,3 +27,16 @@ def test_seed_json_rewrites_the_bundled_seed_byte_for_byte():
     find_seed = _load_script()
     parts = load_seed_file(str(SEED_PATH)).parts
     assert find_seed.seed_json(parts).encode("utf-8") == SEED_PATH.read_bytes()
+
+
+def test_oracle_search_finds_a_valid_seed():
+    # main() would write the seed file; the oracle's seed is only validated
+    parts = _load_script().oracle_search(wall=60)
+    assert parts is not None
+    seed = Decomposition(
+        target=make_complete_bipartite(7, 7),
+        parts=parts,
+        guarantee=UPPER_BOUND_ONLY,
+        provenance=ORACLE,
+    )
+    assert validate_seed(seed) == 1

@@ -14,7 +14,6 @@ from kronthick.graphs import (
     Graph,
     ProductVertex,
     VertexLabel,
-    edge,
     induced_subgraph,
     is_triangle_free,
     make_complete,
@@ -107,18 +106,6 @@ def test_generators_reject_bad_sizes():
 # ============================================================
 # Graph structure
 # ============================================================
-
-
-def test_edge_is_unordered():
-    a = VertexLabel(Family.PLAIN, 1)
-    b = VertexLabel(Family.PLAIN, 2)
-    assert edge(a, b) == edge(b, a)
-
-
-def test_edge_rejects_loops():
-    a = VertexLabel(Family.PLAIN, 1)
-    with pytest.raises(Exception):
-        edge(a, a)
 
 
 def test_graph_rejects_dangling_edges():
@@ -229,7 +216,7 @@ def test_crown_graph_from_k44():
     k44 = make_complete_bipartite(4, 4)
     left = sorted(v for v in k44.vertices if v.family == Family.U)
     right = sorted(v for v in k44.vertices if v.family == Family.V)
-    matching = [edge(a, b) for a, b in zip(left, right)]
+    matching = list(zip(left, right))
     crown = Graph(k44.vertices, [e for e in k44.edges if e not in matching])
     assert crown.num_edges == 12
     assert _degrees(crown) == dict.fromkeys(crown.vertices, 3)

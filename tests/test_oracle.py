@@ -15,7 +15,6 @@ from kronthick.graphs import (
     Family,
     Graph,
     VertexLabel,
-    edge,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -61,31 +60,14 @@ def test_planar_graph_one_part():
 
 
 def test_forced_single_edge_part():
+    # a part that is one given edge: search the rest, then append the edge
     g = make_complete_bipartite(3, 3)
-    u = [v for v in g.vertices if v.family is Family.U]
-    w = [v for v in g.vertices if v.family is Family.V]
-    pin = edge(u[0], w[0])
-    result = find_planar_partition(g, 3, BUDGET, force_single_edge=pin)
+    pin = (VertexLabel(Family.U, 1), VertexLabel(Family.V, 1))
+    rest = Graph(g.vertices, [e for e in g.edges if e != pin])
+    result = find_planar_partition(rest, 2, BUDGET)
     assert result.found is not None
-    assert any(p.edges == (pin,) for p in result.found.parts)
-    assert verify_decomposition(g, result.found.parts).passed
-
-
-@pytest.mark.parametrize(
-    "pin",
-    [
-        (VertexLabel(Family.U, 1), VertexLabel(Family.U, 2)),  # not an edge
-        (VertexLabel(Family.U, 1), VertexLabel(Family.V, 9)),  # not a vertex
-        (VertexLabel(Family.X, 1), VertexLabel(Family.U, 1)),  # not a vertex
-        (VertexLabel(Family.U, 1), VertexLabel(Family.U, 1)),  # self-loop
-    ],
-    ids=["non-edge", "foreign-v", "foreign-x", "self-loop"],
-)
-def test_forced_edge_outside_the_target_rejected(pin):
-    g = make_complete_bipartite(3, 3)
-    for forced in (pin, pin[::-1]):
-        with pytest.raises(PreconditionError):
-            find_planar_partition(g, 3, BUDGET, force_single_edge=forced)
+    parts = result.found.parts + (Graph(pin, [pin]),)
+    assert verify_decomposition(g, parts).passed
 
 
 def test_budget_validation():
@@ -262,36 +244,39 @@ def _random_bipartite(rng, n, m):
     return _plain_graph(n, rng.sample(pairs, m))
 
 
+def _without(g, e):
+    return Graph(g.vertices, [x for x in g.edges if x != e])
+
+
 def _differential_cases():
-    cases = []  # (graph, k, forced edge or None)
+    cases = []  # (graph, k)
     for n in range(4, 9):
         rng = random.Random(f"oracle-diff-{n}")
         for _ in range(30):
-            cases.append((_random_graph(rng, n, 3 * n - 6), 1, None))
+            cases.append((_random_graph(rng, n, 3 * n - 6), 1))
         for _ in range(10):
-            cases.append((_random_bipartite(rng, n, 2 * n - 4), 1, None))
+            cases.append((_random_bipartite(rng, n, 2 * n - 4), 1))
         top = n * (n - 1) // 2
         for _ in range(30 if 3 * n - 5 <= top else 0):
             g = _random_graph(rng, n, 3 * n - 5)
-            cases.append((g, 2, rng.choice(g.edges)))
+            cases.append((_without(g, rng.choice(g.edges)), 1))
         for _ in range(20):
-            cases.append((_random_graph(rng, n, rng.randint(n, top)), 2, None))
+            cases.append((_random_graph(rng, n, rng.randint(n, top)), 2))
             g = _random_graph(rng, n, rng.randint(n, top))
-            cases.append((g, 2, rng.choice(g.edges)))
+            cases.append((_without(g, rng.choice(g.edges)), 1))
         if 3 * n - 6 <= (n - 1) * (n - 2) // 2:  # tight, with vertex n-1 isolated
             for _ in range(10):
-                cases.append((_random_graph(rng, n, 3 * n - 6, among=n - 1), 1, None))
+                cases.append((_random_graph(rng, n, 3 * n - 6, among=n - 1), 1))
     for n in range(1, 4):
         pairs = [(a, b) for b in range(n) for a in range(b)]
         for mask in range(1 << len(pairs)):
             g = _plain_graph(n, [pr for j, pr in enumerate(pairs) if mask >> j & 1])
-            for k in (1, 2):
-                cases.append((g, k, None))
-                if g.edges:
-                    cases.append((g, k, g.edges[0]))
+            cases += [(g, 1), (g, 2)]
+            if g.edges:
+                cases.append((_without(g, g.edges[0]), 1))
     for g in (make_complete(6), make_complete_bipartite(3, 4)):  # tight once a vertex is added
         isolated = VertexLabel(Family.X, 1)
-        cases.append((Graph(list(g.vertices) + [isolated], g.edges), 1, None))
+        cases.append((Graph(list(g.vertices) + [isolated], g.edges), 1))
     return cases
 
 
@@ -300,17 +285,17 @@ def test_search_matches_reference(monkeypatch):
     assert len(cases) > 500
     budget = SearchBudget(max_nodes=100_000, wall_limit=600)
 
-    def outcome(g, k, forced):
-        r = find_planar_partition(g, k, budget, force_single_edge=forced)
+    def outcome(g, k):
+        r = find_planar_partition(g, k, budget)
         found = None if r.found is None else [p.edges for p in r.found.parts]
         return found, r.exhausted, r.nodes
 
-    for g, k, forced in cases:
-        found, exhausted, nodes = outcome(g, k, forced)
+    for g, k in cases:
+        found, exhausted, nodes = outcome(g, k)
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_search_partition", _reference_search)
-            ref_found, ref_exhausted, ref_nodes = outcome(g, k, forced)
-        assert (found, exhausted) == (ref_found, ref_exhausted), (g.edges, k, forced)
+            ref_found, ref_exhausted, ref_nodes = outcome(g, k)
+        assert (found, exhausted) == (ref_found, ref_exhausted), (g.edges, k)
         assert nodes <= ref_nodes
         assert found is not None or exhausted  # the budget never ran out
 

@@ -13,7 +13,6 @@ from kronthick.graphs import (
     Family,
     Graph,
     VertexLabel,
-    edge,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -82,7 +81,7 @@ def test_crown_k44_planar():
     k44 = make_complete_bipartite(4, 4)
     left = [v for v in k44.vertices if v.family == Family.U]
     right = [v for v in k44.vertices if v.family == Family.V]
-    matching = [edge(a, b) for a, b in zip(left, right)]
+    matching = list(zip(left, right))
     crown = Graph(k44.vertices, [e for e in k44.edges if e not in matching])
     assert is_planar(crown).planar
 
@@ -205,7 +204,7 @@ def _triangulation_cases(n: int):
                 break
         mutated = rng.sample(edges, len(edges) - 2) + [extra]
         for pairs in (edges, mutated):
-            yield Graph(labels, [edge(labels[a], labels[b]) for a, b in pairs])
+            yield Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
 
 
 TRIANGULATION_SIZES = [12, 50, 120, 200, 335]
@@ -366,7 +365,7 @@ def test_deep_inputs_stay_iterative():
     cases = []
     for n, pairs, planar in ((2 * k, ladder, True), (c + 6, joined, False)):
         labels = [VertexLabel(Family.PLAIN, i) for i in range(1, n + 1)]
-        g = Graph(labels, [edge(labels[a], labels[b]) for a, b in pairs])
+        g = Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
         cases.append((g, n, pairs, planar))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)

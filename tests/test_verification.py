@@ -12,7 +12,6 @@ from kronthick.graphs import (
     Family,
     Graph,
     VertexLabel,
-    edge,
     make_complete,
     make_complete_bipartite,
 )
@@ -85,7 +84,7 @@ def test_duplicated_edge_reported_overlapping():
 def test_foreign_edge_reported_extra():
     target, parts = k88_parts()
     u = [v for v in target.vertices if v.family is Family.U]
-    foreign = edge(u[0], u[1])  # same-side edge, not in K_{8,8}
+    foreign = (u[0], u[1])  # same-side edge, not in K_{8,8}
     parts[0] = Graph(parts[0].vertices + foreign, parts[0].edges + (foreign,))
     report = verify_decomposition(target, parts)
     assert not report.passed
