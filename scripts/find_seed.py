@@ -8,7 +8,10 @@ into 10 + 10 + 1 so both parts stay planar.  Each candidate costs two
 planarity tests on 14 vertices, so exhausting a pairing is cheap.  Falls
 back to the oracle's branch-and-bound search if no circulant split works.
 
-Writes the first seed found to src/kronthick/data/seed_k7_7.json.
+The circulant search's seed is written to
+src/kronthick/data/seed_k7_7.json, which it reproduces byte for byte.  The
+oracle finds a different seed, so on that path the validated document goes
+to stdout and the bundled file is left as it is.  Progress goes to stderr.
 """
 
 import argparse
@@ -78,11 +81,12 @@ def circulant_search(verbose=False):
                     if _planar(h2 + cand):
                         elapsed = time.time() - t0
                         print(f"found after {tried} candidates, {elapsed:.1f}s "
-                              f"(pairs {pair1}/{pair2}, rest {rest})")
+                              f"(pairs {pair1}/{pair2}, rest {rest})", file=sys.stderr)
                         return h1 + s1, h2 + cand, s2[drop]
                 tried += 1
             if verbose:
-                print(f"pairs {pair1}/{pair2}: exhausted ({time.time()-t0:.0f}s)")
+                print(f"pairs {pair1}/{pair2}: exhausted ({time.time()-t0:.0f}s)",
+                      file=sys.stderr)
     return None
 
 
@@ -101,7 +105,7 @@ def oracle_search(wall):
     budget = SearchBudget(max_nodes=50_000_000, wall_limit=wall)
     res = find_planar_partition(rest, 2, budget=budget)
     print(f"oracle search: found={res.found is not None} "
-          f"exhausted={res.exhausted} nodes={res.nodes}")
+          f"exhausted={res.exhausted} nodes={res.nodes}", file=sys.stderr)
     if res.found is None:
         return None
     return res.found.parts + (Graph(single, [single]),)
@@ -125,14 +129,14 @@ def seed_json(parts) -> str:
     return to_json(decomposition_document(d))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--oracle", action="store_true",
                     help="skip the circulant search, use branch and bound")
     ap.add_argument("--wall", type=float, default=300.0,
                     help="wall-clock budget for the oracle fallback")
     ap.add_argument("--verbose", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     parts = None
     if not args.oracle:
@@ -140,20 +144,24 @@ def main() -> int:
         if hit is not None:
             p1, p2, single = hit
             parts = (_to_graph(p1), _to_graph(p2), _to_graph([single]))
-    if parts is None:
-        print("circulant search failed, trying oracle branch and bound")
+    by_oracle = parts is None
+    if by_oracle:
+        print("circulant search failed, trying oracle branch and bound", file=sys.stderr)
         parts = oracle_search(args.wall)
     if parts is None:
-        print("no seed found")
+        print("no seed found", file=sys.stderr)
         return 1
 
     text = seed_json(parts)
     (u, v), = parts[-1].edges
     print(f"seed validated: sizes={[g.num_edges for g in parts]} "
-          f"single={u.name}-{v.name}")
+          f"single={u.name}-{v.name}", file=sys.stderr)
+    if by_oracle:
+        sys.stdout.write(text)
+        return 0
     out = Path(__file__).resolve().parent.parent / "src" / "kronthick" / "data" / "seed_k7_7.json"
     out.write_text(text)
-    print(f"wrote {out}")
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

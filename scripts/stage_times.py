@@ -9,13 +9,17 @@ Each stage runs in this process, best of --repeat runs, for each size:
   ``decompose`` runs them;
 - verify without moves, which LR-tests every part;
 - LR: ``is_planar`` on the part with the most edges;
-- emit: ``to_json(decomposition_document(d))``;
+- emit: ``write_json(decomposition_document(d), write)``, streamed into a
+  file on the null device as ``decompose`` streams it into stdout;
 - parse: ``json.loads`` and ``decomposition_from_document``;
 - ``verify PATH`` after the file read: parse, ``orbit_images``, then
   ``verify_decomposition`` with the lower bound and the document's claim;
 - ``kronthick verify PATH``: ``cli.main(["verify", path])`` on the
   document written to a temporary file, stdout captured, so the file
-  read counts too.
+  read counts too;
+- the ``tracemalloc`` peak of ``cli.main(["decompose", "kn_x_k2", n])``
+  with stdout discarded, measured once: the most memory the command
+  allocates on top of what was live before it.
 
 Every stage runs with the cyclic garbage collector paused, as each
 ``kronthick`` command runs, so the in-process rows add up to the
@@ -34,6 +38,7 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 
 from kronthick import (
     is_planar,
@@ -45,7 +50,12 @@ from kronthick import (
     verify_decomposition,
 )
 from kronthick.cli import main as cli_main
-from kronthick.serialize import decomposition_document, decomposition_from_document, to_json
+from kronthick.serialize import (
+    decomposition_document,
+    decomposition_from_document,
+    to_json,
+    write_json,
+)
 
 
 def best_ms(fn, repeat: int) -> float:
@@ -58,8 +68,24 @@ def best_ms(fn, repeat: int) -> float:
     return best * 1e3
 
 
-def stage_times(n: int, repeat: int, workdir: str) -> tuple[dict, int]:
-    """Stage name -> best time in ms for K_n x K_2, and the largest part's edge count."""
+def decompose_peak_mb(n: int, null) -> float:
+    """The tracemalloc peak of ``kronthick decompose kn_x_k2 n``, stdout into null, in MB."""
+    with contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            if cli_main(["decompose", "kn_x_k2", str(n)]) != 0:
+                raise SystemExit(f"decompose kn_x_k2 {n} did not pass")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / 2**20
+
+
+def stage_times(n: int, repeat: int, workdir: str, null) -> tuple[dict, int]:
+    """Stage name -> table cell for K_n x K_2, and the largest part's edge count.
+
+    null is a text file on the null device, the sink of every written document.
+    """
     d = kn_times_k2_decomposition(n)
     largest = max(d.parts, key=lambda g: g.num_edges)
     text = to_json(decomposition_document(d))
@@ -87,14 +113,17 @@ def stage_times(n: int, repeat: int, workdir: str) -> tuple[dict, int]:
         "`verify_decomposition` without images (every part LR-tested)":
             lambda: verify_decomposition(d.target, d.parts, lower=lower),
         "LR test of the largest part": lambda: is_planar(largest),
-        "emit (`decomposition_document` + `to_json`)":
-            lambda: to_json(decomposition_document(d)),
+        "emit (`decomposition_document` + `write_json` to a null file)":
+            lambda: write_json(decomposition_document(d), null.write),
         "parse (`json.loads` + `decomposition_from_document`)":
             lambda: decomposition_from_document(json.loads(text)),
         "`verify PATH` after the read: parse, `orbit_images`, verify": verify_path,
         "`kronthick verify PATH` (`cli.main`, file read included)": verify_command,
     }
-    return {name: best_ms(fn, repeat) for name, fn in stages.items()}, largest.num_edges
+    cells = {name: f"{best_ms(fn, repeat):.1f} ms" for name, fn in stages.items()}
+    cells["`kronthick decompose kn_x_k2 n` peak (`tracemalloc`, stdout discarded)"] = (
+        f"{decompose_peak_mb(n, null):.1f} MB")
+    return cells, largest.num_edges
 
 
 def main() -> None:
@@ -106,15 +135,16 @@ def main() -> None:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with tempfile.TemporaryDirectory() as workdir:
-            columns, largest = zip(*(stage_times(n, args.repeat, workdir) for n in sizes))
+        with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as null:
+            columns, largest = zip(*(stage_times(n, args.repeat, workdir, null)
+                                     for n in sizes))
     finally:
         if collecting:
             gc.enable()
     print("| stage | " + " | ".join(f"n = {n}" for n in sizes) + " |")
     print("|---" * (len(sizes) + 1) + "|")
     for name in columns[0]:
-        print(f"| {name} | " + " | ".join(f"{col[name]:.1f} ms" for col in columns) + " |")
+        print(f"| {name} | " + " | ".join(col[name] for col in columns) + " |")
     print(f"\nlargest part: {' / '.join(map(str, largest))} edges; best of {args.repeat}")
 
 

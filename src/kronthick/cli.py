@@ -60,6 +60,7 @@ from .serialize import (
     load_seed_file,
     report_document,
     to_json,
+    write_json,
 )
 from .verification import OPTIMAL, verify_decomposition
 
@@ -184,7 +185,7 @@ def _certify(d):
 def cmd_decompose(args) -> int:
     d = _decompose(args.family, args.size, _seed_provider(args.seed))
     report = _certify(d)
-    sys.stdout.write(to_json(decomposition_document(d)))
+    write_json(decomposition_document(d), sys.stdout.write)
     if not report.passed:
         print(f"verification failed: {report.summary()}", file=sys.stderr)
         return EXIT_FAIL

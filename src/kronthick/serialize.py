@@ -2,18 +2,22 @@
 
 Documents hold sorted vertices and edges, and vertex references inside
 edge lists use the short printable names (x1_3, u_4, p2_1.u_1).
-``to_json`` is this module's one JSON writer.  Its output is exactly
-``json.dumps(doc, indent=2, sort_keys=True)`` plus a trailing newline for
-every value built from dicts with str keys, lists, tuples, str, int, bool,
-None and float, so write -> read -> write is byte-identical; tests compare
-it with ``json.dumps`` directly.  It exists because json falls back to its
-pure-Python encoder whenever an indent is given: this writer escapes
-strings with json's C ``encode_basestring_ascii`` and renders the two bulk
-shapes of a decomposition document at once, lists of [name, name] edge
-pairs and the flat vertex objects that every part repeats.  Both go
-through memos that live for one call, per depth: a name is encoded once,
-as the fragment that opens a pair with it and the one that closes a pair
-with it, so a pair costs two lookups and one join; and a flat object is
+This module has one JSON renderer with two sinks: ``to_json`` joins its
+pieces into one string, and ``write_json`` hands them to a write function
+one by one, a piece per top-level member and per item of a list of
+objects, so ``decompose`` streams a decomposition part by part and never
+holds its whole text.  The text is exactly ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a trailing newline for every value built from dicts
+with str keys, lists, tuples, str, int, bool, None and float, so write ->
+read -> write is byte-identical; tests compare it with ``json.dumps``
+directly.  The renderer exists because json falls back to its pure-Python
+encoder whenever an indent is given: it escapes strings with json's C
+``encode_basestring_ascii`` and renders the two bulk shapes of a
+decomposition document at once, lists of [name, name] edge pairs and the
+flat vertex objects that every part repeats.  Both go through memos that
+live for one document, per depth: a name is encoded once, as the fragment
+that opens a pair with it and the one that closes a pair with it, so a
+pair costs two lookups and one join; and a flat object is
 rendered once per distinct items.
 """
 
@@ -119,14 +123,19 @@ def graph_document(g: Graph) -> dict:
     return doc
 
 
-def _vertex_reader():
-    """vertex_from_object with reuse: (label, name) per distinct vertex object.
+def _vertex_lists():
+    """A reader of vertex lists: (sorted labels, name -> position) per list.
 
-    Objects are keyed on their items and the types of their values, so
-    1, true and 1.0 never share a label.  Pair vertices and other objects
-    that cannot be keyed are read every time.
+    The first list read, a decomposition's target, is kept.  A later list
+    equal to it takes its result without reading an object, when every
+    value in it is a str, int or None: 1 == True == 1.0, so equality alone
+    would let a part's true or 1.0 pass as the target's 1.  Other objects
+    are read once per distinct items and value types, so 1, true and 1.0
+    never share a label; pair vertices and other objects that cannot be
+    keyed are read every time.
     """
     memo: dict = {}
+    first = None  # (objects, result) of the first list read
 
     def read(obj) -> tuple:
         try:
@@ -140,23 +149,40 @@ def _vertex_reader():
             hit = memo[key] = (v, v.name)
         return hit
 
-    return read
+    def index(objs: list) -> tuple:
+        nonlocal first
+        if first is not None and objs == first[0] and _scalar_values(objs):
+            return first[1]
+        named = list(map(read, objs))
+        seen: set = set()
+        for _, name in named:
+            if name in seen:
+                raise DocumentFormatError(f"duplicate vertex {name}")
+            seen.add(name)
+        named.sort(key=itemgetter(0))
+        result = tuple([v for v, _ in named]), {name: i for i, (_, name) in enumerate(named)}
+        if first is None:
+            first = objs, result
+        return result
+
+    return index
 
 
-def _graph_from_object(obj, read) -> Graph:
+def _scalar_values(objs: list) -> bool:
+    """Whether objs are dicts whose values are all str, int or None."""
+    try:
+        return _MEMO_SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, objs))))
+    except TypeError:  # an entry that is not a dict
+        return False
+
+
+def _graph_from_object(obj, index) -> Graph:
     """The graph of a graph object, its edges as index pairs over sorted vertices."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise DocumentFormatError("graph object needs 'vertices' and 'edges'")
     _check_list(obj["vertices"], "vertices")
     _check_list(obj["edges"], "edges")
-    named = list(map(read, obj["vertices"]))
-    seen: set = set()
-    for _, name in named:
-        if name in seen:
-            raise DocumentFormatError(f"duplicate vertex {name}")
-        seen.add(name)
-    named.sort(key=itemgetter(0))
-    by_name = {name: i for i, (_, name) in enumerate(named)}
+    labels, by_name = index(obj["vertices"])
     get = by_name.get
     pairs = []
     for entry in obj["edges"]:
@@ -168,28 +194,28 @@ def _graph_from_object(obj, read) -> Graph:
         except TypeError:  # an unhashable reference
             i = j = None
         if i is None or j is None or i == j:
-            _reject_edge(entry, by_name, named)
+            _reject_edge(entry, by_name, labels)
         pairs.append((i, j) if i < j else (j, i))
     # a document lists its edges sorted, which sort() checks in one pass
     pairs.sort()
     if any(map(eq, pairs, islice(pairs, 1, None))):
         raise DocumentFormatError("an edge is listed twice")
-    return Graph._trusted(tuple([v for v, _ in named]), tuple(pairs))
+    return Graph._trusted(labels, tuple(pairs))
 
 
-def _reject_edge(entry: list, by_name: dict, named: list) -> None:
+def _reject_edge(entry: list, by_name: dict, labels: tuple) -> None:
     """Raise the format error of an edge pair that one lookup per end rejected."""
     ra, rb = entry
     if not (isinstance(ra, str) and isinstance(rb, str)):
         raise DocumentFormatError(f"edge references must be vertex names: {entry!r}")
     if ra not in by_name or rb not in by_name:
         raise DocumentFormatError(f"edge references unknown vertex: {entry!r}")
-    raise DocumentFormatError(f"bad edge: self-loop at {named[by_name[ra]][0]!r}")
+    raise DocumentFormatError(f"bad edge: self-loop at {labels[by_name[ra]]!r}")
 
 
 def graph_from_document(doc) -> Graph:
     _check_version(doc)
-    return _graph_from_object(doc, _vertex_reader())
+    return _graph_from_object(doc, _vertex_lists())
 
 
 def _check_list(value, key: str) -> None:
@@ -238,13 +264,13 @@ def decomposition_from_document(doc) -> Decomposition:
     if figure is not None and not isinstance(figure, str):
         raise DocumentFormatError("provenance figure must be a string or null")
     _check_list(doc["parts"], "parts")
-    read = _vertex_reader()
-    target = _graph_from_object(doc["target"], read)
+    index = _vertex_lists()
+    target = _graph_from_object(doc["target"], index)
     if not target.vertices:
         raise DocumentFormatError("decomposition target has no vertices")
     return Decomposition(
         target=target,
-        parts=tuple(_graph_from_object(o, read) for o in doc["parts"]),
+        parts=tuple(_graph_from_object(o, index) for o in doc["parts"]),
         guarantee=doc["guarantee"],
         provenance=prov["theorem"],
         figure=figure,
@@ -326,7 +352,23 @@ _INF = float("inf")
 
 
 def to_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte."""
+    return "".join(_chunks(doc))
+
+
+def write_json(doc, write) -> None:
+    """Call write with the text of ``to_json(doc)``, in pieces.
+
+    There is one piece per top-level member, and one per item of a member
+    that is a list of objects, so a decomposition's parts are rendered one
+    at a time and its whole text is never held.
+    """
+    for chunk in _chunks(doc):
+        write(chunk)
+
+
+def _chunks(doc):
+    """The text of ``to_json(doc)``, piece by piece, from one renderer.
 
     A flat object, one whose values are all str, int or None, is keyed on
     its items alone, since no two such values of different types are equal;
@@ -373,9 +415,8 @@ def to_json(doc) -> str:
                 opening[name] = f"[{nl2}{text},"
                 closing[name] = f"{nl2}{text}{nl}]"
             items = [opening[a] + closing[b] for a, b in seq]
-        elif types == {dict} and _MEMO_SCALARS.issuperset(
-                map(type, chain.from_iterable(map(dict.values, seq)))):
-            items = flat_objects(seq, level + 1)
+        elif types == {dict}:
+            items = list(objects(seq, level + 1))
         else:
             items = [value(x, level + 1) for x in seq]
         # The brackets go onto the first and last item, so a large text is
@@ -383,6 +424,13 @@ def to_json(doc) -> str:
         items[0] = "[" + nl + items[0]
         items[-1] += nl[:-2] + "]"
         return ("," + nl).join(items)
+
+    def objects(seq, level: int):
+        """The texts of a list of objects: all at once when every object is
+        flat, else each rendered when it is reached."""
+        if _scalar_values(seq):
+            return flat_objects(seq, level)
+        return (value(x, level) for x in seq)
 
     def flat_objects(objs, level: int) -> list[str]:
         memo = flat.setdefault(level, {})
@@ -400,7 +448,24 @@ def to_json(doc) -> str:
         texts[-1] += nl[:-2] + "}"
         return ("," + nl).join(texts)
 
-    return value(doc, 0) + "\n"
+    if not isinstance(doc, dict) or not doc:
+        yield value(doc, 0) + "\n"
+        return
+    # members(doc.items(), 0), with a list of objects opened item by item
+    sep, close = "{", ""  # close: the bracket a streamed list leaves open
+    for k, x in sorted(doc.items()):
+        head = f"{close}{sep}\n  {_encode_str(k)}: "
+        if isinstance(x, (list, tuple)) and x and set(map(type, x)) == {dict}:
+            lead = head + "[\n    "
+            for text in objects(x, 2):
+                yield lead + text
+                lead = ",\n    "
+            close = "\n  ]"
+        else:
+            yield head + value(x, 1)
+            close = ""
+        sep = ","
+    yield close + "\n}\n"
 
 
 def _float_text(f: float) -> str:

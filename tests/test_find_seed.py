@@ -1,4 +1,4 @@
-"""scripts/find_seed.py: its write path, and its oracle fallback, run without main()."""
+"""scripts/find_seed.py: its write path, its oracle fallback, and the fallback's output."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 from kronthick.bounds import ORACLE
 from kronthick.constructions import Decomposition, validate_seed
-from kronthick.graphs import make_complete_bipartite
+from kronthick.graphs import Family, Graph, VertexLabel, make_complete_bipartite
 from kronthick.serialize import load_seed_file
 from kronthick.verification import UPPER_BOUND_ONLY
 
@@ -30,7 +30,6 @@ def test_seed_json_rewrites_the_bundled_seed_byte_for_byte():
 
 
 def test_oracle_search_finds_a_valid_seed():
-    # main() would write the seed file; the oracle's seed is only validated
     parts = _load_script().oracle_search(wall=60)
     assert parts is not None
     seed = Decomposition(
@@ -40,3 +39,31 @@ def test_oracle_search_finds_a_valid_seed():
         provenance=ORACLE,
     )
     assert validate_seed(seed) == 1
+
+
+def _transposed(g: Graph) -> Graph:
+    """g with u_i and v_i swapped: a valid seed part on other edges."""
+    swap = {Family.U: Family.V, Family.V: Family.U}
+
+    def label(x):
+        return VertexLabel(swap[x.family], x.index)
+
+    return Graph([label(x) for x in g.vertices], [(label(a), label(b)) for a, b in g.edges])
+
+
+def test_oracle_path_prints_its_seed_and_keeps_the_bundled_file(monkeypatch, capsys):
+    find_seed = _load_script()
+    bundled = SEED_PATH.read_bytes()
+    parts = tuple(map(_transposed, load_seed_file(str(SEED_PATH)).parts))
+    monkeypatch.setattr(find_seed, "oracle_search", lambda wall: parts)
+    try:
+        code = find_seed.main(["--oracle"])
+    finally:  # a failure here must not leave the other tests a different seed
+        after = SEED_PATH.read_bytes()
+        if after != bundled:
+            SEED_PATH.write_bytes(bundled)
+    assert after == bundled
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out == find_seed.seed_json(parts)
+    assert out.encode("utf-8") != bundled

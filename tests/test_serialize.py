@@ -43,6 +43,7 @@ from kronthick.serialize import (
     report_document,
     seed_from_document,
     to_json,
+    write_json,
 )
 from kronthick.bounds import g_times_k2_bounds
 from kronthick.verification import verify_decomposition
@@ -139,6 +140,32 @@ def test_shuffled_edge_lists_parse_to_the_same_graphs():
     assert shuffled.parts == d.parts
 
 
+def test_part_listing_the_targets_vertices_reversed_parses_the_same():
+    doc = decomposition_document(kn_times_k2_decomposition(12))
+    d = decomposition_from_document(doc)
+    # a part that lists the target's vertices takes the target's labels
+    assert all(p.vertices is d.target.vertices for p in d.parts)
+    assert doc["parts"][1]["vertices"] == doc["target"]["vertices"]
+    doc["parts"][1]["vertices"].reverse()
+    assert decomposition_from_document(doc).parts == d.parts
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "float"])
+def test_part_equal_to_the_targets_vertices_but_for_a_type_exits_3(bad, tmp_path, capsys):
+    # 1 == True == 1.0, so the part's list still equals the target's
+    doc = decomposition_document(kn_times_k2_decomposition(9))
+    obj = doc["parts"][2]["vertices"][0]
+    assert obj["index"] == 1
+    obj["index"] = bad
+    assert doc["parts"][2]["vertices"] == doc["target"]["vertices"]
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad vertex object {obj!r}\n"
+
+
 # ============================================================
 # Reports
 # ============================================================
@@ -207,6 +234,13 @@ def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def _streamed(doc) -> list[str]:
+    """The pieces that write_json hands to its write function."""
+    chunks: list[str] = []
+    write_json(doc, chunks.append)
+    return chunks
+
+
 # Values that compare equal but print differently (1 / True / 1.0,
 # 0 / False / 0.0 / -0.0), and strings that need escapes or are not ASCII.
 _TRICKY_SCALARS = [
@@ -245,8 +279,10 @@ _json_values = st.recursive(
 @example({"e": [["a", "b"], ["b", "a"]], "f": [[["b", "a"], ["a", "\u00e9"]]],
           "g": {"h": [("a", "b")]}})
 @example({"x": [[], {}, [[{}]], ["p", "q"], ("r", "s"), ["t", 1], "u"], "y": ()})
+# lists of objects as top-level members, which write_json streams item by item
+@example({"a": [{}], "b": ({"c": [1]}, {"d": None}), "c": [{"i": 1}, {"i": True}]})
 def test_to_json_matches_json_dumps(value):
-    assert to_json(value) == _dumps(value)
+    assert "".join(_streamed(value)) == to_json(value) == _dumps(value)
 
 
 def _seed(p):
@@ -281,13 +317,50 @@ _FAMILY_DECOMPOSITIONS = {
 @pytest.mark.parametrize("case", _FAMILY_DECOMPOSITIONS)
 def test_decomposition_json_matches_json_dumps(case):
     doc = decomposition_document(_FAMILY_DECOMPOSITIONS[case]())
-    assert to_json(doc) == _dumps(doc)
+    chunks = _streamed(doc)
+    assert "".join(chunks) == to_json(doc) == _dumps(doc)
+    # one piece per top-level member, and one per part
+    assert len(chunks) >= len(doc) + len(doc["parts"])
+
+
+def test_write_json_streams_other_documents():
+    d = kn_times_k2_decomposition(9)
+    docs = [
+        decomposition_document(Decomposition(d.target, (), "", "")),
+        report_document(verify_decomposition(d.target, d.parts[1:])),
+        bound_report_document(g_times_k2_bounds(make_complete(9))),
+        graph_document(d.target),
+    ]
+    for doc in docs:
+        assert "".join(_streamed(doc)) == to_json(doc) == _dumps(doc)
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_decompose_writes_its_document_in_pieces(monkeypatch):
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["decompose", "kn_x_k2", "64"]) == 0
+    text = "".join(out.writes)
+    assert text == to_json(decomposition_document(kn_times_k2_decomposition(64)))
+    assert len(out.writes) > 1
+    assert max(map(len, out.writes)) < len(text)
 
 
 def test_product_graph_json_matches_json_dumps():
     doc = graph_document(kronecker_product(make_cycle(3), make_complete_bipartite(2, 3)))
     assert "left" in doc["vertices"][0]
-    assert to_json(doc) == _dumps(doc)
+    assert "".join(_streamed(doc)) == to_json(doc) == _dumps(doc)
 
 
 def test_to_json_never_uses_json_indent_encoder(monkeypatch):
