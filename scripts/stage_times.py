@@ -21,6 +21,10 @@ Each stage runs in this process, best of --repeat runs, for each size:
   with stdout discarded, measured once: the most memory the command
   allocates on top of what was live before it.
 
+A footer line times the K_{n,n,n} x K_2 builders the same way: the build
+of ``knnn_times_k2_decomposition(41)``, its ``verify_decomposition`` with
+``orbit_images``, and the n = 7 build from the bundled K_{7,7} seed.
+
 Every stage runs with the cyclic garbage collector paused, as each
 ``kronthick`` command runs, so the in-process rows add up to the
 whole-command row; the collector's state is restored at the end.
@@ -39,10 +43,12 @@ import os
 import tempfile
 import time
 import tracemalloc
+from importlib import resources
 
 from kronthick import (
     is_planar,
     kn_times_k2_decomposition,
+    knnn_times_k2_decomposition,
     make_complete,
     orbit_images,
     thickness_lower_bound,
@@ -53,6 +59,7 @@ from kronthick.cli import main as cli_main
 from kronthick.serialize import (
     decomposition_document,
     decomposition_from_document,
+    load_seed_file,
     to_json,
     write_json,
 )
@@ -126,6 +133,19 @@ def stage_times(n: int, repeat: int, workdir: str, null) -> tuple[dict, int]:
     return cells, largest.num_edges
 
 
+def tripartite_line(repeat: int) -> str:
+    """The footer: the K_{n,n,n} x K_2 build at 41 and its verify, and the seeded build at 7."""
+    d = knnn_times_k2_decomposition(41)
+    seed = load_seed_file(resources.files("kronthick").joinpath("data", "seed_k7_7.json"))
+    build, verify, seeded = (best_ms(fn, repeat) for fn in (
+        lambda: knnn_times_k2_decomposition(41),
+        lambda: verify_decomposition(d.target, d.parts, images=orbit_images(d)),
+        lambda: knnn_times_k2_decomposition(7, lambda p: seed),
+    ))
+    return (f"K_{{n,n,n}} x K_2: build n = 41 {build:.1f} ms, verify with `orbit_images` "
+            f"{verify:.1f} ms; seeded build n = 7 {seeded:.1f} ms")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--sizes", default="64,128,256", help="comma list of n")
@@ -138,6 +158,7 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as null:
             columns, largest = zip(*(stage_times(n, args.repeat, workdir, null)
                                      for n in sizes))
+        tripartite = tripartite_line(args.repeat)
     finally:
         if collecting:
             gc.enable()
@@ -146,6 +167,7 @@ def main() -> None:
     for name in columns[0]:
         print(f"| {name} | " + " | ".join(col[name] for col in columns) + " |")
     print(f"\nlargest part: {' / '.join(map(str, largest))} edges; best of {args.repeat}")
+    print(tripartite)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,12 @@ the positions its edges touch: no label is made or sorted, and the Graph
 gets the sorted position pairs.  Index pairs are the only edge currency:
 every edge of K_{n,n,n} x K_2 joins two families on opposite layers, so
 it lies in exactly one of the six blocks, and the edges the tripartite
-lemmas add or delete are pairs on named blocks.  A layer-2 part is its
-layer-1 partner on swapped blocks, and odd K_n x K_2 keeps the pairs of
-n+1 that stay on indices <= n.  Only K_{n,n,n} x K_2, n = 2 (mod 4), is
-built larger and induced on the indices <= n.
+lemmas add or delete are pairs on named blocks.  The tripartite builders
+differ only in their h main parts and closing parts: part k is placed
+on the layer-1 blocks, and part h+k is its layer flip, the same pairs and
+edits on the layer-2 blocks.  Odd K_n x K_2 keeps the pairs of n+1 that
+stay on indices <= n.  Only K_{n,n,n} x K_2, n = 2 (mod 4), is built
+larger and induced on the indices <= n.
 
 Most parts are relabelled copies of an earlier part, under an index-block
 swap or shift or a layer flip.  orbit_images reads which from a
@@ -129,9 +131,6 @@ _BLOCKS_LAYER2 = (
 )
 _SIX_BLOCKS = _BLOCKS_LAYER1 + _BLOCKS_LAYER2
 _XYZ = (Family.X, Family.Y, Family.Z)
-
-# A layer-2 part is its layer-1 partner with _BLOCKS_LAYER1[k] and
-# _BLOCKS_LAYER2[k] swapped.
 _SWAP = dict(zip(_SIX_BLOCKS, _BLOCKS_LAYER2 + _BLOCKS_LAYER1))
 
 
@@ -188,6 +187,23 @@ def _place(target: Graph, at: dict, pairs: list, blocks, adds=None, dels=None) -
 def _block(r: int) -> tuple[int, int, int, int]:
     """The four indices of the Chen-Yin index block r: 4r-3 .. 4r."""
     return (4 * r - 3, 4 * r - 2, 4 * r - 1, 4 * r)
+
+
+def _tripartite(n: int, mains: list, last: list, provenance: str) -> Decomposition:
+    """The OPTIMAL decomposition of K_{n,n,n} x K_2 with these parts.
+
+    mains lists h main parts (pairs, adds, dels).  Part k places main part
+    k on _BLOCKS_LAYER1, and part h+k is its layer flip: the same pairs on
+    _BLOCKS_LAYER2, with the edits on the swapped blocks.  The specs in
+    last, as _place takes them after target and positions, close the list.
+    """
+    target = times_k2(make_complete_tripartite(n, n, n))
+    at = _positions(_XYZ, n, layered=True)
+    specs = [(pairs, _BLOCKS_LAYER1, adds, dels) for pairs, adds, dels in mains]
+    specs += [(pairs, _BLOCKS_LAYER2, _swapped(adds), _swapped(dels))
+              for pairs, adds, dels in mains]
+    parts = [_place(target, at, *spec) for spec in specs + last]
+    return Decomposition(target, parts, OPTIMAL, provenance)
 
 
 # ============================================================
@@ -306,18 +322,9 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     if p < 1:
         raise InvalidSizeError(f"knnn_times_k2_n0mod4 needs p >= 1, got {p}")
     n = 4 * p
-    target = times_k2(make_complete_tripartite(n, n, n))
-    main = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
-    specs = [(pairs, _BLOCKS_LAYER1) for pairs in main]
-    specs += [(pairs, _BLOCKS_LAYER2) for pairs in main]
-    specs.append(([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS))
-    at = _positions(_XYZ, n, layered=True)
-    return Decomposition(
-        target=target,
-        parts=[_place(target, at, *spec) for spec in specs],
-        guarantee=OPTIMAL,
-        provenance=LEMMA_4_2,
-    )
+    mains = [(_chen_yin_part_edges(p, r), {}, {}) for r in range(1, p + 1)]
+    last = [([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS)]
+    return _tripartite(n, mains, last, LEMMA_4_2)
 
 
 # ============================================================
@@ -332,7 +339,6 @@ def _n1_part_adjustments(p: int, r: int) -> tuple[dict, dict]:
     matching edges the final part cannot absorb; dels are the two block
     edges whose removal frees the faces the new spokes pass through.  Each
     hub star sits next to its mirror image, which keeps every part planar.
-    The layer-2 partner takes the same edits on swapped blocks.
     """
     nn = 4 * p + 1
     i1, i2, i3, i4 = _block(r)
@@ -386,21 +392,10 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
             f"knnn_times_k2_n1mod4 needs p >= 2 (got {p}); "
             "n = 1 and n = 5 are served by fixtures"
         )
-    n = 4 * p + 1
-    target = times_k2(make_complete_tripartite(n, n, n))
-    main = [(_chen_yin_part_edges(p, r), *_n1_part_adjustments(p, r))
-            for r in range(1, p + 1)]
-    specs = [(pairs, _BLOCKS_LAYER1, adds, dels) for pairs, adds, dels in main]
-    specs += [(pairs, _BLOCKS_LAYER2, _swapped(adds), _swapped(dels))
-              for pairs, adds, dels in main]
-    specs.append(([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))))
-    at = _positions(_XYZ, n, layered=True)
-    return Decomposition(
-        target=target,
-        parts=[_place(target, at, *spec) for spec in specs],
-        guarantee=OPTIMAL,
-        provenance=LEMMA_4_4,
-    )
+    mains = [(_chen_yin_part_edges(p, r), *_n1_part_adjustments(p, r))
+             for r in range(1, p + 1)]
+    last = [([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2)))]
+    return _tripartite(4 * p + 1, mains, last, LEMMA_4_4)
 
 
 # ============================================================
@@ -495,34 +490,22 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     seed_p = validate_seed(seed)
     if seed_p != p:
         raise SeedMismatchError(f"seed is for p = {seed_p}, assembly wants p = {p}")
-    m = 4 * p + 3
-    target = times_k2(make_complete_tripartite(m, m, m))
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
     # on the blocks of the other layer group, whose copies do NOT already
     # contain its endpoints' blocks.
     single = _seed_part_pairs(seed.parts[-1])
     xy2, yz2, zx2 = _BLOCKS_LAYER2
     relocated = ({xy2: single, zx2: single}, {yz2: single})
-    h1, h2 = [], []
-    for k, part in enumerate(seed.parts[:-1]):
-        pairs = _seed_part_pairs(part)
-        adds = relocated[k] if k < 2 else {}
-        h1.append((pairs, _BLOCKS_LAYER1, adds))
-        h2.append((pairs, _BLOCKS_LAYER2, _swapped(adds)))
-    at = _positions(_XYZ, m, layered=True)
-    parts = [_place(target, at, *spec) for spec in h1 + h2]
+    mains = [(_seed_part_pairs(part), relocated[k] if k < 2 else {}, {})
+             for k, part in enumerate(seed.parts[:-1])]
+    d = _tripartite(4 * p + 3, mains, [], LEMMA_4_6)
     # A layer-2 receiving part is planar exactly when its layer-1 partner is.
-    for label, g in (("first", parts[0]), ("second", parts[1])):
+    for label, g in (("first", d.parts[0]), ("second", d.parts[1])):
         if not is_planar(g).planar:
             raise ConstructionConflictError(
                 f"relocated edges made the {label} part nonplanar"
             )
-    return Decomposition(
-        target=target,
-        parts=parts,
-        guarantee=OPTIMAL,
-        provenance=LEMMA_4_6,
-    )
+    return d
 
 
 # ============================================================

@@ -129,31 +129,16 @@ def _vertex_lists():
     The first list read, a decomposition's target, is kept.  A later list
     equal to it takes its result without reading an object, when every
     value in it is a str, int or None: 1 == True == 1.0, so equality alone
-    would let a part's true or 1.0 pass as the target's 1.  Other objects
-    are read once per distinct items and value types, so 1, true and 1.0
-    never share a label; pair vertices and other objects that cannot be
-    keyed are read every time.
+    would let a part's true or 1.0 pass as the target's 1.  Any other list
+    has each of its objects read.
     """
-    memo: dict = {}
     first = None  # (objects, result) of the first list read
-
-    def read(obj) -> tuple:
-        try:
-            key = (*obj.items(), *map(type, obj.values()))
-            hit = memo.get(key)
-        except (AttributeError, TypeError):
-            v = vertex_from_object(obj)
-            return v, v.name
-        if hit is None:
-            v = vertex_from_object(obj)
-            hit = memo[key] = (v, v.name)
-        return hit
 
     def index(objs: list) -> tuple:
         nonlocal first
         if first is not None and objs == first[0] and _scalar_values(objs):
             return first[1]
-        named = list(map(read, objs))
+        named = [(v, v.name) for v in map(vertex_from_object, objs)]
         seen: set = set()
         for _, name in named:
             if name in seen:

@@ -605,8 +605,10 @@ def _layer_swap(g: Graph) -> Graph:
         lambda: knnn_times_k2_n1mod4(2),
         lambda: knnn_times_k2_n1mod4(3),
         lambda: lemma46_assemble(1, bundled_seed()),
+        lambda: knnn_times_k2_decomposition(6, lambda p: bundled_seed()),
     ],
-    ids=["n0mod4-p1", "n0mod4-p2", "n1mod4-p2", "n1mod4-p3", "lemma46-seed"],
+    ids=["n0mod4-p1", "n0mod4-p2", "n1mod4-p2", "n1mod4-p3", "lemma46-seed",
+         "n2mod4-induced"],
 )
 def test_layer2_parts_are_layer_swaps_of_layer1(build):
     d = build()
