@@ -106,6 +106,53 @@ def test_load_json_rejects_bad_files(tmp_path):
         load_json(str(bad))
 
 
+def _text_mode_outcome(path):
+    """What parsing the file read in text mode gives: the value, or the error text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        return f"invalid JSON in {path}: {exc}"
+
+
+_FILE_CONTENTS = {
+    "lf": b'{"a": [1, "x"],\n "b": null}\n',
+    "crlf": b'{"a": [1, "x"],\r\n "b": null}\r\n',
+    "cr": b'{"a": [1, "x"],\r "b": null}\r',
+    "cr-in-string": b'{"a": "x\ry"}',
+    "crlf-then-error": b'{"a": 1,\r\n\r\n "b": }',
+    "non-ascii": '{"é": "☃"}'.encode("utf-8"),
+    "bom": b"\xef\xbb\xbf{}",
+    "non-utf8": b'{"a": 1}\n\xff\xfe',
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("content", _FILE_CONTENTS)
+def test_load_json_reads_as_text_mode_would(tmp_path, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(_FILE_CONTENTS[content])
+    expected = _text_mode_outcome(path)
+    try:
+        got = load_json(str(path))
+    except DocumentFormatError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_json_reads_a_pipe(tmp_path):
+    path = tmp_path / "doc.fifo"
+    os.mkfifo(path)
+    writer = subprocess.Popen(
+        [sys.executable, "-c", "import sys; open(sys.argv[1], 'w').write('{\"a\": [1]}\\r\\n')", str(path)]
+    )
+    try:
+        assert load_json(str(path)) == {"a": [1]}
+    finally:
+        writer.wait(timeout=60)
+
+
 # ============================================================
 # Decomposition documents
 # ============================================================
