@@ -478,11 +478,9 @@ def _utf8_text(fh) -> str:
     """The text that reading fh in text mode as UTF-8 gives, newlines translated.
 
     A regular file is decoded from a read-only map of it, so only the text
-    takes heap memory.  Reading it would put a bytes copy as large as the
-    text next to it in the heap; once freed, whether that memory went back
-    to the system hung on a few kilobytes of neighbouring allocations, so
-    the peak of a process that verifies a 10 MB document several times
-    jumped between two levels 8 MB apart.
+    takes heap memory: a freed bytes copy next to the text of a 10 MB
+    document put the peak of repeated verifies on one of two levels 8 MB
+    apart, by whether a few neighbouring kilobytes let the heap shrink.
     """
     try:
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
