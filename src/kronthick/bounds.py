@@ -63,14 +63,6 @@ class BoundReport:
         return self.lower if self.lower == self.upper else None
 
 
-def _dedup(tags) -> tuple[str, ...]:
-    out: list[str] = []
-    for t in tags:
-        if t not in out:
-            out.append(t)
-    return tuple(out)
-
-
 def thickness_lower_bound(g: Graph) -> int:
     """Edge-count lower bound for theta(g): ceil(|E| / planar edge capacity)."""
     v = g.num_vertices
@@ -165,7 +157,7 @@ def theta_kmn_times_kpq(m: int, n: int, p: int, q: int) -> BoundReport:
     return BoundReport(
         max(r1.lower, r2.lower),
         max(r1.upper, r2.upper),
-        _dedup((THM_3_6,) + r1.provenance + r2.provenance),
+        tuple(dict.fromkeys((THM_3_6,) + r1.provenance + r2.provenance)),
     )
 
 
@@ -176,7 +168,7 @@ def tripartite_times_k2_bounds(l: int, m: int, n: int) -> BoundReport:
     lower = max(1, _ceil_div(l * m + l * n + m * n, 2 * (l + m + n) - 2))
     rb = _theta_bipartite_report(m, n)
     tags = (THM_4_1,) if rb.exact is not None else (THM_4_1, OPEN)
-    return BoundReport(lower, 2 * rb.upper, _dedup(tags + rb.provenance))
+    return BoundReport(lower, 2 * rb.upper, tuple(dict.fromkeys(tags + rb.provenance)))
 
 
 def knn_report(n: int) -> BoundReport:

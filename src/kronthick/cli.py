@@ -329,10 +329,7 @@ def main(argv=None) -> int:
     except SeedRequiredError as exc:
         print(f"seed required: {exc}", file=sys.stderr)
         return EXIT_SEED
-    except (DocumentFormatError, SeedInvalidError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (DocumentFormatError, SeedInvalidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (InvalidSizeError, PreconditionError) as exc:

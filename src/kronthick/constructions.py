@@ -7,22 +7,23 @@ the test suite certifies optimality against the bounds module.
 
 Vertex naming convention: a vertex x^1_i (family x, layer 1, index i) is
 VertexLabel(Family.X, i, 1).  Each part is built once, as one Graph, from
-index pairs (a, b), each the edge v_a u_b of a bipartite part, placed on
-(family, layer) blocks: K_{4p,4p} keeps the layerless v/u families,
-K_n x K_2 puts v on layer 1 and u on layer 2, and K_{n,n,n} x K_2 copies a
-part three times around the x -> y -> z family cycle.  Each builder makes
-its target first, and a block index goes straight to its target position
-by the arithmetic _positions names, so a part is the target's own labels at
-the positions its edges touch: no label is made or sorted, and the Graph
-gets the sorted position pairs.  Index pairs are the only edge currency:
-every edge of K_{n,n,n} x K_2 joins two families on opposite layers, so
-it lies in exactly one of the six blocks, and the edges the tripartite
-lemmas add or delete are pairs on named blocks.  The tripartite builders
-differ only in their h main parts and closing parts: part k is placed
-on the layer-1 blocks, and part h+k is its layer flip, the same pairs and
-edits on the layer-2 blocks.  Odd K_n x K_2 keeps the pairs of n+1 that
-stay on indices <= n.  Only K_{n,n,n} x K_2, n = 2 (mod 4), is built
-larger and induced on the indices <= n.
+a block map: each (family, layer) block it uses maps to index pairs (a, b),
+each the edge v_a u_b of a bipartite part.  K_{4p,4p} uses the one block
+of the layerless v/u families, K_n x K_2 the one block with v on layer 1
+and u on layer 2, and K_{n,n,n} x K_2 copies a part three times around the
+x -> y -> z family cycle by mapping three blocks to the same pairs.  Each
+builder makes its target first, and a block index goes straight to its
+target position by the arithmetic _positions names, so a part is the
+target's own labels at the positions its edges touch: no label is made or
+sorted, and the Graph gets the sorted position pairs.  Every edge of
+K_{n,n,n} x K_2 joins two families on opposite layers, so it lies in
+exactly one of the six blocks, and a builder that adds or deletes edges
+edits the pairs of named blocks.  The tripartite builders differ only in
+their h main parts and closing parts: part k maps the layer-1 blocks, and
+part h+k is its layer flip, the same map with every block swapped for its
+other-layer partner.  Odd K_n x K_2 keeps the pairs of n+1 that stay on
+indices <= n.  Only K_{n,n,n} x K_2, n = 2 (mod 4), is built larger and
+induced on the indices <= n.
 
 Most parts are relabelled copies of an earlier part, under an index-block
 swap or shift or a layer flip.  orbit_images reads which from a
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from operator import floordiv, mod
 
 from .bounds import (
@@ -109,12 +110,11 @@ class Decomposition:
 # Placing index pairs on target positions
 # ============================================================
 
-# Every part is a list of index pairs (a, b), each the edge v_a u_b of a
-# bipartite part, placed on one or more blocks.  A block
-# ((family, layer), (family, layer)) takes v_a to its first class and u_b
-# to its second; layer 0 is a layerless class.
-_UV = (((Family.V, 0), (Family.U, 0)),)
-_CROWN = (((Family.PLAIN, 1), (Family.PLAIN, 2)),)
+# Every part maps blocks to index pairs (a, b), each the edge v_a u_b of a
+# bipartite part.  A block ((family, layer), (family, layer)) takes v_a to
+# its first class and u_b to its second; layer 0 is a layerless class.
+_UV = ((Family.V, 0), (Family.U, 0))
+_CROWN = ((Family.PLAIN, 1), (Family.PLAIN, 2))
 # The two three-block layouts of the tripartite constructions: vertex-
 # disjoint copies around the x -> y -> z family cycle, so planarity of the
 # bipartite part is inherited.  On all six blocks the pair (i, i) is the
@@ -134,9 +134,9 @@ _XYZ = (Family.X, Family.Y, Family.Z)
 _SWAP = dict(zip(_SIX_BLOCKS, _BLOCKS_LAYER2 + _BLOCKS_LAYER1))
 
 
-def _swapped(edits: dict) -> dict:
-    """The block edits with every block moved to its layer-swap partner."""
-    return {_SWAP[blk]: pairs for blk, pairs in edits.items()}
+def _swapped(part: dict) -> dict:
+    """The block map with every block moved to its layer-swap partner."""
+    return {_SWAP[blk]: pairs for blk, pairs in part.items()}
 
 
 def _positions(families, n: int, layered: bool) -> dict:
@@ -154,25 +154,19 @@ def _positions(families, n: int, layered: bool) -> dict:
     return {(f, l): (2 * r * n + l - 3, 2) for r, f in enumerate(families) for l in (1, 2)}
 
 
-def _place(target: Graph, at: dict, pairs: list, blocks, adds=None, dels=None) -> Graph:
-    """Build one part of target: the index pairs on every block, edited per block.
+def _place(target: Graph, at: dict, part: dict) -> Graph:
+    """Build one part of target: each block of part with its index pairs.
 
-    adds and dels map a block, one of blocks or any other, to index pairs:
-    on that block the pairs dels are removed and then adds are added,
-    endpoints included.  at gives each class's target positions, as
-    _positions does.  The part's vertices are the target's at the sorted
-    positions its edges touch, so no label is made or compared.
+    at gives each class's target positions, as _positions does.  The
+    part's vertices are the target's at the sorted positions its edges
+    touch, so no label is made or compared.
     """
-    adds, dels = adds or {}, dels or {}
     big = target.num_vertices
     keys = set()  # each edge as i * big + j over its target positions i < j
-    for blk in set(blocks).union(adds):
-        ps = pairs if blk in blocks else []
-        if blk in dels:
-            ps = [e for e in ps if e not in dels[blk]]
-        (ov, sv), (ou, su) = at[blk[0]], at[blk[1]]
+    for (cv, cu), pairs in part.items():
+        (ov, sv), (ou, su) = at[cv], at[cu]
         keys.update([i * big + j if (i := ov + sv * a) < (j := ou + su * b) else j * big + i
-                     for a, b in chain(ps, adds.get(blk, ()))])
+                     for a, b in pairs])
     keys = sorted(keys)
     rows, cols = list(map(floordiv, keys, repeat(big))), list(map(mod, keys, repeat(big)))
     ends = sorted(set(rows).union(cols))
@@ -192,18 +186,14 @@ def _block(r: int) -> tuple[int, int, int, int]:
 def _tripartite(n: int, mains: list, last: list, provenance: str) -> Decomposition:
     """The OPTIMAL decomposition of K_{n,n,n} x K_2 with these parts.
 
-    mains lists h main parts (pairs, adds, dels).  Part k places main part
-    k on _BLOCKS_LAYER1, and part h+k is its layer flip: the same pairs on
-    _BLOCKS_LAYER2, with the edits on the swapped blocks.  The specs in
-    last, as _place takes them after target and positions, close the list.
+    mains lists h block maps on the layer-1 blocks, edits included.  Part
+    k is main part k, and part h+k is its layer flip, the key swap _swapped
+    makes.  The block maps in last close the list.
     """
     target = times_k2(make_complete_tripartite(n, n, n))
     at = _positions(_XYZ, n, layered=True)
-    specs = [(pairs, _BLOCKS_LAYER1, adds, dels) for pairs, adds, dels in mains]
-    specs += [(pairs, _BLOCKS_LAYER2, _swapped(adds), _swapped(dels))
-              for pairs, adds, dels in mains]
-    parts = [_place(target, at, *spec) for spec in specs + last]
-    return Decomposition(target, parts, OPTIMAL, provenance)
+    parts = mains + [_swapped(main) for main in mains] + last
+    return Decomposition(target, [_place(target, at, part) for part in parts], OPTIMAL, provenance)
 
 
 # ============================================================
@@ -247,11 +237,11 @@ def chen_yin_k4p4p(p: int) -> Decomposition:
     n = 4 * p
     target = make_complete_bipartite(n, n)
     at = _positions((Family.U, Family.V), n, layered=False)
-    specs = [(_chen_yin_part_edges(p, r), _UV) for r in range(1, p + 1)]
-    specs.append(([(i, i) for i in range(1, n + 1)], _UV))
+    pairs = [_chen_yin_part_edges(p, r) for r in range(1, p + 1)]
+    pairs.append([(i, i) for i in range(1, n + 1)])
     return Decomposition(
         target=target,
-        parts=[_place(target, at, *spec) for spec in specs],
+        parts=[_place(target, at, {_UV: ps}) for ps in pairs],
         guarantee=OPTIMAL,
         provenance=LEMMA_3_2,
     )
@@ -300,7 +290,7 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
         main = [[(a, b) for a, b in pairs if a <= n and b <= n] for pairs in main]
     return Decomposition(
         target=target,
-        parts=[_place(target, at, pairs, _CROWN) for pairs in main],
+        parts=[_place(target, at, {_CROWN: pairs}) for pairs in main],
         guarantee=OPTIMAL,
         provenance=THM_3_3,
     )
@@ -322,8 +312,8 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     if p < 1:
         raise InvalidSizeError(f"knnn_times_k2_n0mod4 needs p >= 1, got {p}")
     n = 4 * p
-    mains = [(_chen_yin_part_edges(p, r), {}, {}) for r in range(1, p + 1)]
-    last = [([(i, i) for i in range(1, n + 1)], _SIX_BLOCKS)]
+    mains = [dict.fromkeys(_BLOCKS_LAYER1, _chen_yin_part_edges(p, r)) for r in range(1, p + 1)]
+    last = [dict.fromkeys(_SIX_BLOCKS, [(i, i) for i in range(1, n + 1)])]
     return _tripartite(n, mains, last, LEMMA_4_2)
 
 
@@ -332,28 +322,30 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
 # ============================================================
 
 
-def _n1_part_adjustments(p: int, r: int) -> tuple[dict, dict]:
-    """(adds, dels) block edits of the r-th layer-1 main part at n = 4p+1.
+def _n1_main_part(p: int, r: int) -> dict:
+    """The r-th layer-1 main part at n = 4p+1, as a block map.
 
-    adds are hub spokes from the six new vertices plus the four per-block
-    matching edges the final part cannot absorb; dels are the two block
-    edges whose removal frees the faces the new spokes pass through.  Each
-    hub star sits next to its mirror image, which keeps every part planar.
+    Chen-Yin part r on _BLOCKS_LAYER1 gains hub spokes from the six new
+    vertices plus the four per-block matching edges the final part cannot
+    absorb, and loses the two block edges whose removal frees the faces the
+    new spokes pass through.  Each hub star sits next to its mirror image,
+    which keeps every part planar.
     """
     nn = 4 * p + 1
     i1, i2, i3, i4 = _block(r)
     nxt = i4 % (4 * p) + 2  # 4r+2 of the next block, cyclically
+    pairs = _chen_yin_part_edges(p, r)
     xy1, yz1, zx1 = _BLOCKS_LAYER1
     _, yz2, zx2 = _BLOCKS_LAYER2
-    adds = {
-        xy1: [(nn, i1), (nn, i4), (i3, nn), (nxt, nn)],
-        yz1: [(nn, i2), (nn, i3), (i2, nn), (i3, nn), (i3, i3)],
-        zx1: [(nn, i1), (nn, i4), (i1, nn), (i4, nn), (i4, i4)],
+    return {
+        xy1: pairs + [(nn, i1), (nn, i4), (i3, nn), (nxt, nn)],
+        yz1: [e for e in pairs if e != (i1, i4)]
+             + [(nn, i2), (nn, i3), (i2, nn), (i3, nn), (i3, i3)],
+        zx1: [e for e in pairs if e != (i2, i3)]
+             + [(nn, i1), (nn, i4), (i1, nn), (i4, nn), (i4, i4)],
         yz2: [(i2, i2)],
         zx2: [(i1, i1)],
     }
-    dels = {yz1: [(i1, i4)], zx1: [(i2, i3)]}
-    return adds, dels
 
 
 def _n1_final_part_pairs(p: int) -> list[list[tuple[int, int]]]:
@@ -392,9 +384,8 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
             f"knnn_times_k2_n1mod4 needs p >= 2 (got {p}); "
             "n = 1 and n = 5 are served by fixtures"
         )
-    mains = [(_chen_yin_part_edges(p, r), *_n1_part_adjustments(p, r))
-             for r in range(1, p + 1)]
-    last = [([], (), dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2)))]
+    mains = [_n1_main_part(p, r) for r in range(1, p + 1)]
+    last = [dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))]
     return _tripartite(4 * p + 1, mains, last, LEMMA_4_4)
 
 
@@ -490,14 +481,14 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
     seed_p = validate_seed(seed)
     if seed_p != p:
         raise SeedMismatchError(f"seed is for p = {seed_p}, assembly wants p = {p}")
+    mains = [dict.fromkeys(_BLOCKS_LAYER1, _seed_part_pairs(part)) for part in seed.parts[:-1]]
     # The six copies of the dropped single edge v_a u_b: the pair (a, b)
     # on the blocks of the other layer group, whose copies do NOT already
     # contain its endpoints' blocks.
     single = _seed_part_pairs(seed.parts[-1])
     xy2, yz2, zx2 = _BLOCKS_LAYER2
-    relocated = ({xy2: single, zx2: single}, {yz2: single})
-    mains = [(_seed_part_pairs(part), relocated[k] if k < 2 else {}, {})
-             for k, part in enumerate(seed.parts[:-1])]
+    mains[0].update({xy2: single, zx2: single})
+    mains[1][yz2] = single
     d = _tripartite(4 * p + 3, mains, [], LEMMA_4_6)
     # A layer-2 receiving part is planar exactly when its layer-1 partner is.
     for label, g in (("first", d.parts[0]), ("second", d.parts[1])):

@@ -197,13 +197,9 @@ def find_planar_partition(
     if parts is None:
         return PartitionSearchResult(found=None, exhausted=exhausted, nodes=nodes)
 
-    verts = g.vertices
-    part_graphs = []
-    for pe in parts:
-        ends = sorted({i for ab in pe for i in ab})
-        new = {i: k for k, i in enumerate(ends)}  # keeps every pair (i, j), i < j
-        pairs = sorted([(new[a], new[b]) for a, b in pe])
-        part_graphs.append(Graph._trusted(tuple([verts[i] for i in ends]), tuple(pairs)))
+    vs = g.vertices
+    part_graphs = [Graph({vs[i] for ab in pe for i in ab}, [(vs[a], vs[b]) for a, b in pe])
+                   for pe in parts]
     d = Decomposition(
         target=g,
         parts=tuple(part_graphs),

@@ -175,10 +175,10 @@ def test_odd_case_restricts_even_case():
 def test_three_block_copies_are_vertex_disjoint():
     pairs = _chen_yin_part_edges(2, 1)
     one = _place(make_complete_bipartite(8, 8), _positions((Family.U, Family.V), 8, False),
-                 pairs, _UV)
+                 {_UV: pairs})
     target = times_k2(make_complete_tripartite(8, 8, 8))
     for blocks in (_BLOCKS_LAYER1, _BLOCKS_LAYER2):
-        three = _place(target, _positions(_XYZ, 8, True), pairs, blocks)
+        three = _place(target, _positions(_XYZ, 8, True), dict.fromkeys(blocks, pairs))
         assert three.num_vertices == 3 * one.num_vertices
         assert three.num_edges == 3 * one.num_edges
         classes = {frozenset(b) for b in blocks}
