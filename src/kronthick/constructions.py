@@ -51,7 +51,6 @@ from .errors import (
     ConstructionConflictError,
     FixtureIntegrityError,
     InvalidSizeError,
-    PreconditionError,
     SeedInvalidError,
     SeedMismatchError,
     SeedRequiredError,
@@ -72,10 +71,6 @@ __all__ = [
     "Decomposition",
     "chen_yin_k4p4p",
     "kn_times_k2_decomposition",
-    "knnn_times_k2_n0mod4",
-    "knnn_times_k2_n1mod4",
-    "knnn_times_k2_fixture",
-    "lemma46_assemble",
     "knnn_times_k2_decomposition",
     "orbit_images",
 ]
@@ -301,7 +296,7 @@ def kn_times_k2_decomposition(n: int) -> Decomposition:
 # ============================================================
 
 
-def knnn_times_k2_n0mod4(p: int) -> Decomposition:
+def _lemma42(p: int) -> Decomposition:
     """Optimal decomposition of K_{4p,4p,4p} x K_2 into 2p+1 parts.
 
     Each main bipartite part is copied three times around the family
@@ -309,8 +304,6 @@ def knnn_times_k2_n0mod4(p: int) -> Decomposition:
     the copies leave uncovered close up into 4p disjoint 6-cycles, which
     form the final part.
     """
-    if p < 1:
-        raise InvalidSizeError(f"knnn_times_k2_n0mod4 needs p >= 1, got {p}")
     n = 4 * p
     mains = [dict.fromkeys(_BLOCKS_LAYER1, _chen_yin_part_edges(p, r)) for r in range(1, p + 1)]
     last = [dict.fromkeys(_SIX_BLOCKS, [(i, i) for i in range(1, n + 1)])]
@@ -372,18 +365,13 @@ def _n1_final_part_pairs(p: int) -> list[list[tuple[int, int]]]:
     return [xy, yz, zx]
 
 
-def knnn_times_k2_n1mod4(p: int) -> Decomposition:
+def _lemma44(p: int) -> Decomposition:
     """Optimal decomposition of K_{4p+1,4p+1,4p+1} x K_2 into 2p+1 parts.
 
     Starts from the n = 4p layout and threads the six new vertices'
     edges through the existing parts; needs p >= 2 (the n = 1 and n = 5
     cases ship as drawn fixtures instead).
     """
-    if p < 2:
-        raise PreconditionError(
-            f"knnn_times_k2_n1mod4 needs p >= 2 (got {p}); "
-            "n = 1 and n = 5 are served by fixtures"
-        )
     mains = [_n1_main_part(p, r) for r in range(1, p + 1)]
     last = [dict(zip(_SIX_BLOCKS, _n1_final_part_pairs(p) * 2))]
     return _tripartite(4 * p + 1, mains, last, LEMMA_4_4)
@@ -396,15 +384,13 @@ def knnn_times_k2_n1mod4(p: int) -> Decomposition:
 _FIXTURE_SIZES = (1, 3, 5)
 
 
-def knnn_times_k2_fixture(n: int) -> Decomposition:
+def _fixture(n: int) -> Decomposition:
     """Load and re-verify the checked-in decomposition for n in {1, 3, 5}.
 
     These small cases come from explicit drawings rather than a formula;
     the files are re-verified on every load so a corrupted fixture can
     never masquerade as a certificate.
     """
-    if n not in _FIXTURE_SIZES:
-        raise PreconditionError(f"no fixture for n = {n}; have {_FIXTURE_SIZES}")
     from importlib import resources
 
     from .serialize import decomposition_from_document, load_json
@@ -467,7 +453,7 @@ def _seed_part_pairs(part: Graph) -> list[tuple[int, int]]:
     return [(ws[j].index, ws[i].index) for i, j in part.pairs]
 
 
-def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
+def _lemma46(p: int, seed: Decomposition) -> Decomposition:
     """Decompose K_{4p+3,4p+3,4p+3} x K_2 into 2p+2 parts from a seed.
 
     The seed is a Decomposition of K_{4p+3,4p+3} that validate_seed
@@ -507,21 +493,22 @@ def lemma46_assemble(p: int, seed: Decomposition) -> Decomposition:
 def knnn_times_k2_decomposition(n: int, seed_provider=None) -> Decomposition:
     """Decompose K_{n,n,n} x K_2 into ceil((n+1)/2) parts, any n >= 1.
 
-    Dispatch: fixtures for n in {1, 3, 5}; direct builders for n = 0, 1
-    (mod 4); n = 3 (mod 4) needs a seed decomposition of K_{n,n} supplied
-    via seed_provider(p); n = 2 (mod 4), n = 2 included, builds n+1 and
-    induces its target and parts on the indices <= n.  With no seed
-    provider, the seed-dependent sizes raise SeedRequiredError.
+    The family's one public builder.  Dispatch: drawn fixtures for
+    n in {1, 3, 5}; Lemma 4.2 for n = 0 and Lemma 4.4 for n = 1 (mod 4);
+    Lemma 4.6 for n = 3 (mod 4), from the seed decomposition of K_{n,n}
+    that seed_provider(p) returns; n = 2 (mod 4), n = 2 included, builds
+    n+1 and induces its target and parts on the indices <= n.  With no
+    seed provider, the seed-dependent sizes raise SeedRequiredError.
     """
     if n < 1:
         raise InvalidSizeError(f"knnn_times_k2_decomposition needs n >= 1, got {n}")
     if n in _FIXTURE_SIZES:
-        return knnn_times_k2_fixture(n)
+        return _fixture(n)
     rem = n % 4
     if rem == 0:
-        return knnn_times_k2_n0mod4(n // 4)
+        return _lemma42(n // 4)
     if rem == 1:
-        return knnn_times_k2_n1mod4(n // 4)
+        return _lemma44(n // 4)
     if rem == 3:
         p = (n - 3) // 4
         if seed_provider is None:
@@ -530,8 +517,7 @@ def knnn_times_k2_decomposition(n: int, seed_provider=None) -> Decomposition:
                 f"({p + 2} planar parts, the last a single edge); "
                 "pass seed_provider or supply a seed file"
             )
-        seed = seed_provider(p)
-        return lemma46_assemble(p, seed)
+        return _lemma46(p, seed_provider(p))
     # rem == 2: induce n+1 on the indices <= n.  Induced subgraphs keep the
     # parts disjoint, covering and planar, and n/2 + 1 parts is still optimal.
     bigger = knnn_times_k2_decomposition(n + 1, seed_provider)

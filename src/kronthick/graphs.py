@@ -13,7 +13,7 @@ the oracle, the triangle test and the document reader and writer all work
 on the pairs, and the build side hands them over too: the generators here,
 the product and the constructions make sorted pairs for Graph._trusted,
 while Graph(vertices, edges) is the checked constructor for other callers.
-Label edges are built only when asked for, and then cached.
+Label edges are built from the pairs on each request, never stored.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class Graph:
 
     vertices is the sorted label tuple and pairs the sorted tuple of index
     pairs (i, j), i < j, one per edge; label edges are derived from them on
-    first use and cached.  Pairs and label edges come out in the same
-    order, so iteration is deterministic and reproducible across runs.
+    each request.  Pairs and label edges come out in the same order, so
+    iteration is deterministic and reproducible across runs.
     """
 
-    __slots__ = ("_vertices", "_pairs", "_edges")
+    __slots__ = ("_vertices", "_pairs")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(sorted(set(vertices)))
@@ -129,7 +129,8 @@ class Graph:
             if i is None or j is None:
                 raise PreconditionError(f"edge endpoint not in vertex set: {a!r}-{b!r}")
             pairs.add((i, j) if i < j else (j, i))
-        self._init(vs, tuple(sorted(pairs)))
+        self._vertices = vs
+        self._pairs = tuple(sorted(pairs))
 
     @classmethod
     def _trusted(cls, vertices: tuple, pairs: tuple) -> Graph:
@@ -138,13 +139,9 @@ class Graph:
         Nothing is checked: the caller guarantees both orders.
         """
         g = object.__new__(cls)
-        g._init(vertices, pairs)
+        g._vertices = vertices
+        g._pairs = pairs
         return g
-
-    def _init(self, vertices: tuple, pairs: tuple) -> None:
-        self._vertices = vertices
-        self._pairs = pairs
-        self._edges = None
 
     @property
     def vertices(self) -> tuple:
@@ -157,11 +154,9 @@ class Graph:
 
     @property
     def edges(self) -> tuple:
-        """Label edges (a, b), a < b, sorted; built once, then cached."""
-        if self._edges is None:
-            vs = self._vertices
-            self._edges = tuple([(vs[i], vs[j]) for i, j in self._pairs])
-        return self._edges
+        """Label edges (a, b), a < b, sorted; built from the pairs on each call."""
+        vs = self._vertices
+        return tuple([(vs[i], vs[j]) for i, j in self._pairs])
 
     @property
     def num_vertices(self) -> int:

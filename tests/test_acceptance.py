@@ -24,9 +24,6 @@ from kronthick.constructions import (
     chen_yin_k4p4p,
     kn_times_k2_decomposition,
     knnn_times_k2_decomposition,
-    knnn_times_k2_n0mod4,
-    knnn_times_k2_n1mod4,
-    lemma46_assemble,
 )
 from kronthick.errors import SeedRequiredError
 from kronthick.graphs import (
@@ -117,7 +114,7 @@ def test_criterion_03_knnn_dispatcher():
 def test_criterion_04_six_cycle_residue():
     nx = pytest.importorskip("networkx")
     for p in range(1, 5):
-        last = knnn_times_k2_n0mod4(p).parts[-1]
+        last = knnn_times_k2_decomposition(4 * p).parts[-1]
         h = nx.Graph(last.edges)
         h.add_nodes_from(last.vertices)
         comps = list(nx.connected_components(h))
@@ -136,7 +133,7 @@ def test_criterion_04_six_cycle_residue():
 def test_criterion_05_edge_accounting():
     for p in range(2, 5):
         n = 4 * p + 1
-        d = knnn_times_k2_n1mod4(p)
+        d = knnn_times_k2_decomposition(4 * p + 1)
         counts = Counter(e for g in d.parts for e in g.edges)
         assert all(c == 1 for c in counts.values())  # no edge appears twice
         assert set(counts) == set(d.target.edges)
@@ -331,7 +328,7 @@ def test_criterion_10_seeded_assembly():
         .joinpath("seed_k7_7.json")
     )
     seed = seed_from_document(load_json(str(path)))
-    d7 = lemma46_assemble(1, seed)
+    d7 = knnn_times_k2_decomposition(7, lambda p: seed)
     assert len(d7.parts) == 4 == theta_knnn_times_k2(7)
     assert verify_decomposition(d7.target, d7.parts, lower=4).passed
     # n = 6 goes through the dispatcher, which builds n = 7 and restricts

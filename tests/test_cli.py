@@ -370,6 +370,14 @@ def test_decompose_usage_errors(capsys):
     assert run(capsys, "decompose", "kn_x_k2", "1")[0] == 2
 
 
+@pytest.mark.parametrize("family,size", [("knnn_x_k2", "0"), ("knn", "0"), ("kn_x_k2", "1")])
+def test_decompose_below_the_size_guard_is_a_usage_error(capsys, family, size):
+    assert main(["decompose", family, size]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 # ============================================================
 # verify
 # ============================================================

@@ -36,16 +36,11 @@ from kronthick.constructions import (
     chen_yin_k4p4p,
     kn_times_k2_decomposition,
     knnn_times_k2_decomposition,
-    knnn_times_k2_fixture,
-    knnn_times_k2_n0mod4,
-    knnn_times_k2_n1mod4,
-    lemma46_assemble,
     orbit_images,
     validate_seed,
 )
 from kronthick.errors import (
     InvalidSizeError,
-    PreconditionError,
     SeedInvalidError,
     SeedRequiredError,
 )
@@ -370,8 +365,9 @@ def _seed_with_extra_vertex(extra):
 
 
 def test_seed_part_with_foreign_vertex_rejected():
+    seed = _seed_with_extra_vertex(VertexLabel(Family.X, 1))
     with pytest.raises(SeedInvalidError):
-        lemma46_assemble(1, _seed_with_extra_vertex(VertexLabel(Family.X, 1)))
+        knnn_times_k2_decomposition(7, lambda p: seed)
 
 
 def test_valid_seed_large_parts_span_every_vertex():
@@ -425,7 +421,7 @@ def test_each_part_is_built_once(monkeypatch, build, n, built):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_n0mod4_verifies(p):
     n = 4 * p
-    d = knnn_times_k2_n0mod4(p)
+    d = knnn_times_k2_decomposition(4 * p)
     assert len(d.parts) == 2 * p + 1 == theta_knnn_times_k2(n)
     report = verify_decomposition(d.target, d.parts, lower=len(d.parts))
     assert report.passed
@@ -434,7 +430,7 @@ def test_n0mod4_verifies(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_n0mod4_final_part_is_disjoint_six_cycles(p):
-    nx, h = _nx_graph(knnn_times_k2_n0mod4(p).parts[-1])
+    nx, h = _nx_graph(knnn_times_k2_decomposition(4 * p).parts[-1])
     comps = list(nx.connected_components(h))
     assert len(comps) == 4 * p
     for c in comps:
@@ -450,16 +446,10 @@ def test_n0mod4_final_part_is_disjoint_six_cycles(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_n1mod4_verifies(p):
     n = 4 * p + 1
-    d = knnn_times_k2_n1mod4(p)
+    d = knnn_times_k2_decomposition(4 * p + 1)
     assert len(d.parts) == 2 * p + 1 == theta_knnn_times_k2(n)
     report = verify_decomposition(d.target, d.parts, lower=len(d.parts))
     assert report.passed
-
-
-def test_n1mod4_rejects_p1():
-    # n = 5 is served by the drawn fixture, not the inductive step
-    with pytest.raises(PreconditionError):
-        knnn_times_k2_n1mod4(1)
 
 
 # ============================================================
@@ -471,7 +461,7 @@ def test_n1mod4_rejects_p1():
     "n,parts,edges", [(1, 1, 6), (3, 2, 54), (5, 3, 150)]
 )
 def test_fixtures_verify(n, parts, edges):
-    d = knnn_times_k2_fixture(n)
+    d = knnn_times_k2_decomposition(n)
     assert len(d.parts) == parts == theta_knnn_times_k2(n)
     assert sum(g.num_edges for g in d.parts) == edges
     assert verify_decomposition(d.target, d.parts, lower=parts).passed
@@ -479,16 +469,11 @@ def test_fixtures_verify(n, parts, edges):
 
 
 def test_fixture_n1_is_a_six_cycle():
-    d = knnn_times_k2_fixture(1)
+    d = knnn_times_k2_decomposition(1)
     part = d.parts[0]
     assert part.num_vertices == 6 and part.num_edges == 6
     nx, h = _nx_graph(part)
     assert nx.is_connected(h)
-
-
-def test_fixture_rejects_other_sizes():
-    with pytest.raises(Exception):
-        knnn_times_k2_fixture(2)
 
 
 # ============================================================
@@ -557,21 +542,21 @@ def test_validate_seed_rejects_defect(defect):
 
 
 def test_lemma46_assembles_four_parts():
-    d = lemma46_assemble(1, bundled_seed())
+    d = knnn_times_k2_decomposition(7, lambda p: bundled_seed())
     assert len(d.parts) == 4 == theta_knnn_times_k2(7)
     assert d.target == times_k2(make_complete_tripartite(7, 7, 7))
     assert verify_decomposition(d.target, d.parts, lower=4).passed
 
 
 def test_lemma46_relocated_edges_appear_once():
-    d = lemma46_assemble(1, bundled_seed())
+    d = knnn_times_k2_decomposition(7, lambda p: bundled_seed())
     total = sum(g.num_edges for g in d.parts)
     distinct = len(set().union(*(g.edges for g in d.parts)))
     assert total == distinct == d.target.num_edges
 
 
 def test_restriction_to_n6():
-    d7 = lemma46_assemble(1, bundled_seed())
+    d7 = knnn_times_k2_decomposition(7, lambda p: bundled_seed())
     d6 = knnn_times_k2_decomposition(6, seed_provider=lambda p: bundled_seed())
     assert d6.parts == tuple(induced_subgraph(g, lambda v: v.index <= 6) for g in d7.parts)
     assert len(d6.parts) == 4 == theta_knnn_times_k2(6)
@@ -600,11 +585,11 @@ def _layer_swap(g: Graph) -> Graph:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: knnn_times_k2_n0mod4(1),
-        lambda: knnn_times_k2_n0mod4(2),
-        lambda: knnn_times_k2_n1mod4(2),
-        lambda: knnn_times_k2_n1mod4(3),
-        lambda: lemma46_assemble(1, bundled_seed()),
+        lambda: knnn_times_k2_decomposition(4),
+        lambda: knnn_times_k2_decomposition(8),
+        lambda: knnn_times_k2_decomposition(9),
+        lambda: knnn_times_k2_decomposition(13),
+        lambda: knnn_times_k2_decomposition(7, lambda p: bundled_seed()),
         lambda: knnn_times_k2_decomposition(6, lambda p: bundled_seed()),
     ],
     ids=["n0mod4-p1", "n0mod4-p2", "n1mod4-p2", "n1mod4-p3", "lemma46-seed",
@@ -638,6 +623,13 @@ def test_dispatcher_n2_restricts_the_n3_fixture():
     assert len(d.parts) == 2 == theta_knnn_times_k2(2)
     assert d.target == times_k2(make_complete_tripartite(2, 2, 2))
     assert verify_decomposition(d.target, d.parts, lower=2).passed
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_dispatcher_rejects_n_below_1(n):
+    # the family's only size guard: each per-case step trusts its n
+    with pytest.raises(InvalidSizeError):
+        knnn_times_k2_decomposition(n)
 
 
 @pytest.mark.parametrize("n", [6, 7, 10, 11])

@@ -1,4 +1,4 @@
-"""scripts/find_seed.py: its write path, its oracle fallback, and the fallback's output."""
+"""scripts/find_seed.py: its circulant search, seed document and oracle fallback."""
 
 from __future__ import annotations
 
@@ -26,6 +26,16 @@ def _load_script():
 def test_seed_json_rewrites_the_bundled_seed_byte_for_byte():
     find_seed = _load_script()
     parts = load_seed_file(str(SEED_PATH)).parts
+    assert find_seed.seed_json(parts).encode("utf-8") == SEED_PATH.read_bytes()
+
+
+def test_circulant_search_reproduces_the_bundled_seed():
+    # main() minus its write: the search, then the document it would write
+    find_seed = _load_script()
+    hit = find_seed.circulant_search()
+    assert hit is not None
+    p1, p2, single = hit
+    parts = (find_seed._to_graph(p1), find_seed._to_graph(p2), find_seed._to_graph([single]))
     assert find_seed.seed_json(parts).encode("utf-8") == SEED_PATH.read_bytes()
 
 
