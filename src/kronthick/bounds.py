@@ -42,6 +42,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _euler_count(e: int, v: int, triangle_free: bool) -> int:
+    """ceil(e / the planar edge capacity of v vertices), and 1 when e = 0."""
+    return _ceil_div(e, euler_max_edges(v, triangle_free)) if e else 1
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Lower/upper thickness bounds; the thickness is exact when they meet."""
@@ -68,26 +73,18 @@ def thickness_lower_bound(g: Graph) -> int:
     v = g.num_vertices
     if v == 0:
         raise PreconditionError("thickness is undefined for the empty vertex set")
-    e = g.num_edges
-    if e == 0:
-        return 1
-    cap = euler_max_edges(v, is_triangle_free(g))
-    return max(1, _ceil_div(e, cap))
+    return _euler_count(g.num_edges, v, is_triangle_free(g))
 
 
 def product_lower_bound(g: Graph, h: Graph) -> int:
     """Counting lower bound for theta(g x h); both factors need >= 2 vertices."""
     if g.num_vertices < 2 or h.num_vertices < 2:
         raise PreconditionError("product_lower_bound needs factors on >= 2 vertices")
-    eg, eh = g.num_edges, h.num_edges
-    vg, vh = g.num_vertices, h.num_vertices
     # g x h has a triangle iff both factors do: a product triangle projects
     # onto one in each factor, and a triangle in each factor pair up into one.
-    if is_triangle_free(g) or is_triangle_free(h):
-        val = _ceil_div(eg * eh, vg * vh - 2)
-    else:
-        val = _ceil_div(2 * eg * eh, 3 * vg * vh - 6)
-    return max(val, 1)
+    triangle_free = is_triangle_free(g) or is_triangle_free(h)
+    return _euler_count(2 * g.num_edges * h.num_edges,
+                        g.num_vertices * h.num_vertices, triangle_free)
 
 
 def product_upper_bound(g: Graph, h: Graph) -> int:
@@ -141,7 +138,7 @@ def _theta_bipartite_report(a: int, b: int) -> BoundReport:
         return BoundReport(1, 1, (PLANAR,))
     if a == b:
         return knn_report(a)
-    lower = max(1, _ceil_div(a * b, 2 * (a + b) - 4))
+    lower = _euler_count(a * b, a + b, True)
     upper = theta_knn(max(a, b))  # K_{a,b} sits inside the larger balanced graph
     tags = (EULER, LEMMA_3_1) if lower == upper else (EULER, LEMMA_3_1, OPEN)
     return BoundReport(lower, upper, tags)
@@ -165,7 +162,7 @@ def tripartite_times_k2_bounds(l: int, m: int, n: int) -> BoundReport:
     """Bounds for theta(K_{l,m,n} x K_2) with 1 <= l <= m <= n."""
     if not (1 <= l <= m <= n):
         raise PreconditionError(f"sizes must satisfy 1 <= l <= m <= n, got {(l, m, n)}")
-    lower = max(1, _ceil_div(l * m + l * n + m * n, 2 * (l + m + n) - 2))
+    lower = _euler_count(2 * (l * m + l * n + m * n), 2 * (l + m + n), True)
     rb = _theta_bipartite_report(m, n)
     tags = (THM_4_1,) if rb.exact is not None else (THM_4_1, OPEN)
     return BoundReport(lower, 2 * rb.upper, tuple(dict.fromkeys(tags + rb.provenance)))

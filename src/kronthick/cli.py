@@ -319,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # The commands build JSON trees, graphs of int tuples and reports, none
-    # of which hold a cycle, so a collector pass would only rescan the live
-    # heap; reference counting still frees everything they drop.
+    # The commands' JSON trees, graphs and reports hold no cycle, so a pass
+    # would only rescan the live heap.  The parser above and the nested
+    # functions of serialize._chunks, which keep a document's memos alive,
+    # do; they wait for the first pass after main restores the collector.
     collecting = gc.isenabled()
     gc.disable()
     try:

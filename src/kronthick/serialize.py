@@ -11,8 +11,9 @@ sort_keys=True)`` plus a trailing newline for every value built from dicts
 with str keys, lists, tuples, str, int, bool, None and float, so write ->
 read -> write is byte-identical; tests compare it with ``json.dumps``
 directly.  The renderer exists because json falls back to its pure-Python
-encoder whenever an indent is given: it escapes strings with json's C
-``encode_basestring_ascii`` and renders the two bulk shapes of a
+encoder whenever an indent is given.  It writes strings with json's C
+``encode_basestring_ascii``, exact ints with ``int.__repr__``, and every
+other leaf with json's own encoder; and it renders the two bulk shapes of a
 decomposition document at once, lists of [name, name] edge pairs and the
 flat vertex objects that every part repeats.  Both go through memos that
 live for one document, per depth: a name is encoded once, as the fragment
@@ -155,11 +156,8 @@ def _vertex_lists():
 
 
 def _scalar_values(objs: list) -> bool:
-    """Whether objs are dicts whose values are all str, int or None."""
-    try:
-        return _MEMO_SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, objs))))
-    except TypeError:  # an entry that is not a dict
-        return False
+    """Whether the values of the dicts objs are all str, int or None."""
+    return _MEMO_SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, objs))))
 
 
 def _graph_from_object(obj, index) -> Graph:
@@ -334,7 +332,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 # of another of them: 1 == True == 1.0 and -0.0 == 0.0 rule out bool and float.
 _MEMO_SCALARS = frozenset((str, int, type(None)))
 _PAIR_TYPES = frozenset((list, tuple))
-_INF = float("inf")
+# None, bools, floats, int subclasses and unsupported types: json's own text
+# for a leaf, or its TypeError.
+_encode_leaf = json.JSONEncoder().encode
 
 
 def to_json(doc) -> str:
@@ -368,23 +368,15 @@ def _chunks(doc):
     def value(o, level: int) -> str:
         if isinstance(o, str):
             return _encode_str(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
+        if type(o) is int:
             return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
         if isinstance(o, (list, tuple)):
             return array(o, level)
         if isinstance(o, dict):
             if _MEMO_SCALARS.issuperset(map(type, o.values())):
                 return flat_objects([o], level)[0]
             return members(o.items(), level)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        return _encode_leaf(o)
 
     def array(seq, level: int) -> str:
         if not seq:
@@ -452,16 +444,6 @@ def _chunks(doc):
             close = ""
         sep = ","
     yield close + "\n}\n"
-
-
-def _float_text(f: float) -> str:
-    if f != f:
-        return "NaN"
-    if f == _INF:
-        return "Infinity"
-    if f == -_INF:
-        return "-Infinity"
-    return float.__repr__(f)
 
 
 def load_json(path):

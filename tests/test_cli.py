@@ -9,16 +9,22 @@ import shutil
 
 import pytest
 
-from kronthick import cli, constructions, verification
+from kronthick import cli, constructions, serialize, verification
 from kronthick.bounds import theta_kn_times_k2, theta_knnn_times_k2
 from kronthick.cli import main
-from kronthick.constructions import Decomposition, chen_yin_k4p4p
+from kronthick.constructions import (
+    Decomposition,
+    chen_yin_k4p4p,
+    knnn_times_k2_decomposition,
+)
+from kronthick.errors import FixtureIntegrityError
 from kronthick.graphs import Graph, make_complete, make_complete_bipartite
 from kronthick.products import kronecker_product
 from kronthick.serialize import (
     decomposition_document,
     graph_document,
     graph_from_document,
+    load_json,
     to_json,
 )
 
@@ -92,6 +98,7 @@ def test_product_rejects_bad_spec(capsys):
     assert run(capsys, "product", "zz:3", "kn:2")[0] == 2
     assert run(capsys, "product", "kn:x", "kn:2")[0] == 2
     assert run(capsys, "product", "kn:3")[0] == 2  # missing second factor
+    assert run(capsys, "product", "kn5", "kn:2")[0] == 2  # no colon
 
 
 def test_product_missing_file(capsys):
@@ -378,6 +385,42 @@ def test_decompose_below_the_size_guard_is_a_usage_error(capsys, family, size):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def _missing_file(path):
+    raise FileNotFoundError(path)
+
+
+def _loaded_with(edit):
+    def load(path):
+        doc = load_json(path)
+        edit(doc)
+        return doc
+    return load
+
+
+# A stand-in for the n = 3 fixture loader's read, and the error it must cause.
+_CORRUPT_FIXTURES = {
+    "missing": (_missing_file, "fixture file for n = 3 is missing"),
+    "n5-document": (lambda path: load_json(FIXTURE_N5_PATH),
+                    "fixture n = 3 declares the wrong target graph"),
+    "part-dropped": (_loaded_with(lambda doc: doc["parts"].pop()),
+                     "fixture n = 3 has 1 parts, expected 2"),
+    "edge-dropped": (_loaded_with(lambda doc: doc["parts"][0]["edges"].pop()),
+                     "fixture n = 3 fails verification: "),
+}
+
+
+@pytest.mark.parametrize("case", _CORRUPT_FIXTURES)
+def test_corrupt_fixture_is_refused(capsys, monkeypatch, case):
+    load, message = _CORRUPT_FIXTURES[case]
+    monkeypatch.setattr(serialize, "load_json", load)
+    with pytest.raises(FixtureIntegrityError, match=message):
+        knnn_times_k2_decomposition(3)
+    assert main(["decompose", "knnn_x_k2", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 # ============================================================
 # verify
 # ============================================================
@@ -452,14 +495,27 @@ def test_unreadable_json_file_exits_3(capsys, tmp_path, content, command):
     assert "Traceback" not in captured.err
 
 
+def _container(doc, keys):
+    for k in keys:
+        doc = doc[k]
+    return doc
+
+
 def _set(path, value):
+    *keys, last = path
+
     def mutate(doc):
-        *keys, last = path
-        obj = doc
-        for k in keys:
-            obj = obj[k]
-        obj[last] = value
+        _container(doc, keys)[last] = value
     return mutate
+
+
+def _drop(path):
+    *keys, last = path
+    return lambda doc: _container(doc, keys).pop(last)
+
+
+_U1 = {"family": "U", "index": 1}
+_V2 = {"family": "V", "index": 2}
 
 
 def _add_vertex(obj):
@@ -509,6 +565,15 @@ def _add_edge(make):
         _reuse_with_index_true,
         _drop_first_vertex,
         _set(["parts", 0, "vertices", 0, "colour"], 1),
+        _set(["parts", 0, "vertices", 0], 5),
+        _set(["parts", 0, "vertices", 0], {"left": _U1, "right": _V2, "x": 1}),
+        _set(["parts", 0, "vertices", 0], {"left": {"left": _U1, "right": _V2}, "right": _V2}),
+        _set(["parts", 0, "vertices", 0, "index"], 0),
+        _set(["parts", 0, "vertices", 0, "layer"], 3),
+        _drop(["parts", 0, "edges"]),
+        _drop(["guarantee"]),
+        _set(["provenance"], "THM_3_3"),
+        _set(["provenance", "figure"], 3),
     ],
     ids=[
         "parts-int", "parts-object", "vertices-int", "edges-object",
@@ -516,7 +581,9 @@ def _add_edge(make):
         "layer-bool", "family-list", "edge-ref-list", "edge-twice",
         "edge-reversed", "self-loop", "empty-target", "guarantee-list",
         "theorem-object", "later-part-index-true", "edge-names-unlisted-vertex",
-        "vertex-unknown-key",
+        "vertex-unknown-key", "vertex-int", "pair-third-key", "pair-nested",
+        "index-zero", "layer-3", "part-no-edges", "no-guarantee",
+        "provenance-string", "figure-int",
     ],
 )
 def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):
@@ -530,6 +597,14 @@ def test_verify_malformed_document_exits_3(capsys, tmp_path, mutate):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_verify_top_level_array_exits_3(capsys, tmp_path):
+    doc = json.loads(run(capsys, "decompose", "knn", "1")[1])
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([doc]))
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr() == ("", "error: document must be a JSON object\n")
 
 
 # The stderr of verify for one bad entry appended to part 0's edges, as
@@ -654,6 +729,8 @@ def test_bounds_other_families(capsys):
 def test_bounds_usage_errors(capsys):
     assert run(capsys, "bounds", "kmn_x_kpq", "3")[0] == 2
     assert run(capsys, "bounds", "mystery", "3")[0] == 2
+    assert run(capsys, "bounds", "product", "kn:3")[0] == 2
+    assert run(capsys, "bounds", "kn_x_k2", "3", "4")[0] == 2
 
 
 # ============================================================
@@ -773,6 +850,7 @@ def test_table_text_mode_has_header(capsys):
 
 def test_table_bad_range(capsys):
     assert run(capsys, "table", "kn_x_k2", "abc")[0] == 2
+    assert run(capsys, "table", "kn_x_k2", "x..3")[0] == 2
 
 
 def test_table_unknown_family_exits_2(capsys):

@@ -24,6 +24,7 @@ from kronthick.constructions import (
 )
 from kronthick.errors import DocumentFormatError, SeedInvalidError
 from kronthick.graphs import (
+    Family,
     Graph,
     make_complete,
     make_complete_bipartite,
@@ -328,8 +329,20 @@ _json_values = st.recursive(
 @example({"x": [[], {}, [[{}]], ["p", "q"], ("r", "s"), ["t", 1], "u"], "y": ()})
 # lists of objects as top-level members, which write_json streams item by item
 @example({"a": [{}], "b": ({"c": [1]}, {"d": None}), "c": [{"i": 1}, {"i": True}]})
+# int-subclass leaves, which json writes as their int value
+@example(Family.Y)
+@example({"v": [{"family": Family.Y, "index": 1}, {"family": 1, "index": 1}]})
 def test_to_json_matches_json_dumps(value):
     assert "".join(_streamed(value)) == to_json(value) == _dumps(value)
+
+
+def test_to_json_rejects_what_json_dumps_rejects():
+    doc = {"a": [1, {"b": {2}}]}
+    with pytest.raises(TypeError) as ours:
+        to_json(doc)
+    with pytest.raises(TypeError) as theirs:
+        _dumps(doc)
+    assert str(ours.value) == str(theirs.value)
 
 
 def _seed(p):
